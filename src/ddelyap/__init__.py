@@ -42,7 +42,6 @@ from .spectrum import (
     ComparisonReport,
     SpectrumConfig,
     SpectrumReport,
-    backward_rate_check,
     compare_fibers,
     oseledets_frames,
     qr_spectrum,
@@ -87,7 +86,6 @@ __all__ = [
     "ComparisonReport",
     "SpectrumConfig",
     "SpectrumReport",
-    "backward_rate_check",
     "compare_fibers",
     "oseledets_frames",
     "qr_spectrum",

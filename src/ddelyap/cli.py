@@ -28,7 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to a JSON experiment config")
     run_p.add_argument("--out", default=None, help="output directory (default: config output.dir)")
     run_p.add_argument("--seed", type=int, default=None, help="override the driver seed")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads for fan-out runs")
     run_p.add_argument(
         "--strict",
         action="store_true",
@@ -67,7 +66,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     try:
-        manifest, strict_ok = run_experiment(cfg, out_dir, threads=max(1, args.threads))
+        manifest, strict_ok = run_experiment(cfg, out_dir)
     except Exception as exc:  # numerical failure: partial outputs plus flagged manifest
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest(

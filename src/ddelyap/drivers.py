@@ -126,13 +126,28 @@ def validate_spec(spec: DriverSpec) -> None:
             raise ValueError("params.generator off-diagonal entries must be >= 0")
         if np.max(np.abs(G.sum(axis=1))) > 1e-12:
             raise ValueError("params.generator rows must sum to 0")
+        _check_irreducible(G)
     else:
         raise ValueError(f"unknown driver kind {kind!r}")
 
 
+def _check_irreducible(G: np.ndarray) -> None:
+    """Raise unless every state of the chain reaches every other one.
+
+    A reducible chain has many stationary laws and non-ergodic paths.
+    """
+    S = G.shape[0]
+    reach = (G > 0) | np.eye(S, dtype=bool)
+    for _ in range(max(1, S - 1).bit_length()):  # path lengths double per squaring
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    if not reach.all():
+        raise ValueError("params.generator must be irreducible: every state must reach every other")
+
+
 def stationary_distribution(generator: np.ndarray) -> np.ndarray:
-    """Stationary law of a CTMC generator: the normalized left null vector."""
+    """Stationary law of an irreducible CTMC generator: the normalized left null vector."""
     G = np.asarray(generator, dtype=float)
+    _check_irreducible(G)
     S = G.shape[0]
     if S == 1:
         return np.ones(1)
@@ -150,6 +165,8 @@ class Driver:
 
     #: coefficients constant between switch times (integrator stage handling)
     piecewise_constant = False
+    #: upper bound on the spectral norm of A(t) over the whole path
+    a_bound: float
 
     def __init__(self, spec: DriverSpec, window: tuple[float, float]):
         t_min, t_max = float(window[0]), float(window[1])
@@ -199,6 +216,10 @@ class _ShiftedDriver(Driver):
     def piecewise_constant(self):
         return self._base.piecewise_constant
 
+    @property
+    def a_bound(self):
+        return self._base.a_bound
+
     def matrices(self, t):
         return self._base.matrices(t + self._s)
 
@@ -219,13 +240,13 @@ class ConstantDriver(Driver):
         super().__init__(spec, window)
         self._A = _as_matrix(spec.params["A0"], spec.dimension, "A0")
         self._B = _as_matrix(spec.params["B0"], spec.dimension, "B0")
-        self._a = spectral_norm(self._A)
+        self.a_bound = spectral_norm(self._A)
 
     def matrices(self, t):
         return self._A, self._B
 
     def a_integral(self, t0, t1):
-        return self._a * (t1 - t0)
+        return self.a_bound * (t1 - t0)
 
     def shifted(self, s):
         return self
@@ -242,6 +263,9 @@ class QuasiPeriodicDriver(Driver):
         self._as = np.asarray(prm["a_sin"], dtype=float)
         self._bc = np.asarray(prm["b_cos"], dtype=float)
         self._bs = np.asarray(prm["b_sin"], dtype=float)
+        self.a_bound = spectral_norm(self._a0) + sum(
+            spectral_norm(c) + spectral_norm(s) for c, s in zip(self._ac, self._as)
+        )
 
     def matrices(self, t):
         c = np.cos(self._freqs * t)
@@ -276,6 +300,7 @@ class TelegraphDriver(Driver):
         self._B_states = [np.asarray(B, dtype=float) for _, B in prm["states"]]
         self._G = np.asarray(prm["generator"], dtype=float)
         self._a_states = np.array([spectral_norm(A) for A in self._A_states])
+        self.a_bound = float(self._a_states.max())
         self._pi = stationary_distribution(self._G)
         self._draw_path()
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,7 +81,7 @@ class _Stages:
         return out
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1):
+def run_experiment(cfg: ExperimentConfig, out_dir):
     """Execute one configured experiment; returns (manifest, strict_ok)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -100,7 +99,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1):
         "oracle": _run_oracle,
         "bounds": _run_bounds,
     }[cfg.experiment]
-    strict_ok = runner(cfg, out, manifest, _Stages(manifest), threads)
+    strict_ok = runner(cfg, out, manifest, _Stages(manifest))
     manifest.wall_clock = round(time.perf_counter() - t_start, 4)
     manifest_path = out / "manifest.json"
     _write_json(manifest_path, manifest.to_dict())
@@ -120,7 +119,7 @@ def _emit_spectrum_report(report, cfg, out: Path, manifest, name: str) -> None:
     manifest.outputs.append(str(csv_path))
 
 
-def _run_spectrum(cfg, out, manifest, stages, threads):
+def _run_spectrum(cfg, out, manifest, stages):
     driver = stages.run(
         "realize", lambda: realize(cfg.driver, required_window(cfg.spectrum))
     )
@@ -132,7 +131,7 @@ def _run_spectrum(cfg, out, manifest, stages, threads):
     return True
 
 
-def _run_compare(cfg, out, manifest, stages, threads):
+def _run_compare(cfg, out, manifest, stages):
     driver = stages.run(
         "realize", lambda: realize(cfg.driver, required_window(cfg.spectrum))
     )
@@ -164,7 +163,7 @@ def _run_compare(cfg, out, manifest, stages, threads):
     return cmp.all_pass
 
 
-def _run_converge(cfg, out, manifest, stages, threads):
+def _run_converge(cfg, out, manifest, stages):
     factors = cfg.converge_factors
 
     def one(factor):
@@ -173,13 +172,7 @@ def _run_converge(cfg, out, manifest, stages, threads):
         qr = qr_spectrum(driver, cfg.fiber, grid, cfg.spectrum)
         return factor, grid.M, _expanded_exponents(qr.groups, cfg.spectrum.k)
 
-    def fan_out():
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(one, factors))
-        return [one(f) for f in factors]
-
-    results = stages.run("converge_runs", fan_out)
+    results = stages.run("converge_runs", lambda: [one(f) for f in factors])
     results.sort(key=lambda r: r[1])
     rows = []
     for factor, M, exps in results:
@@ -223,7 +216,7 @@ def _is_unit_periodic(spec) -> bool:
     return bool(np.all(np.abs(ratios - np.round(ratios)) < 1e-9))
 
 
-def _run_oracle(cfg, out, manifest, stages, threads):
+def _run_oracle(cfg, out, manifest, stages):
     driver = stages.run(
         "realize", lambda: realize(cfg.driver, required_window(cfg.spectrum))
     )
@@ -277,7 +270,7 @@ def _run_oracle(cfg, out, manifest, stages, threads):
     return ok
 
 
-def _run_bounds(cfg, out, manifest, stages, threads):
+def _run_bounds(cfg, out, manifest, stages):
     horizon = cfg.bounds_horizon
     driver = stages.run(
         "realize", lambda: realize(cfg.driver, (-(horizon + 2.0), horizon + 2.0))

@@ -125,10 +125,13 @@ def _scan_and_polish(A, B, x_lo, x_hi, y_hi, residual_tol):
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(0.0, y_hi, ny)
     vals = np.empty((ny, nx))
+    real_row = np.empty(nx)  # f is real on the real axis
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
             f, _, _ = _char_value_and_derivative(complex(x, y), A, B)
             vals[i, j] = abs(f)
+            if i == 0:
+                real_row[j] = np.real(f)
     found: list[CharacteristicRoot] = []
     # local minima of |f| on the grid seed Newton
     interior = vals[1:-1, 1:-1]
@@ -144,6 +147,9 @@ def _scan_and_polish(A, B, x_lo, x_hi, y_hi, residual_tol):
     for j in range(1, nx - 1):
         if row[j] <= row[j - 1] and row[j] <= row[j + 1]:
             seeds.append(complex(xs[j], 0.0))
+    # two close real roots can share one row minimum but not one sign change
+    sign = np.sign(real_row)
+    seeds += [complex(xs[j], 0.0) for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
     for seed in seeds:
         lam, resid, mult = _newton_polish(seed, A, B)
         if resid > residual_tol:

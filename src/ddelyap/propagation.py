@@ -14,6 +14,7 @@ integer-time cocycle composition exact by construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,26 +106,38 @@ def _rk4_span(driver, a, b, z, forcing):
     return z
 
 
-def _advance_unit(driver, base_time: float, z0: np.ndarray, hist: np.ndarray) -> np.ndarray:
-    """Nodal solution of the forced equation over [base_time, base_time + 1].
+def _integrate(driver, times, z0: np.ndarray, forcing) -> np.ndarray:
+    """Solution of z' = A(t) z + g(t) at every breakpoint of `times`; row 0 is z0.
 
-    z0: (N, K) initial value at base_time; hist: (M+1, N, K) nodal values of
-    the delayed source on [base_time - 1, base_time].  Returns (M+1, N, K)
-    with row j the solution at base_time + j/M (row 0 is z0).
+    One RK4 span per gap.  Breakpoints are Python floats, which keeps the
+    per-piece scalar arithmetic cheap.  Raises ValueError when the largest
+    gap times the driver's bound on |A(t)| exceeds 2, where fixed-step RK4
+    leaves its stability region and returns confident wrong rates.
     """
+    h = max(map(operator.sub, times[1:], times[:-1]))
+    if h * driver.a_bound > 2.0:
+        raise ValueError(
+            f"RK4 step {h:.4g} times the bound {driver.a_bound:.4g} on |A(t)| is "
+            f"{h * driver.a_bound:.3g} > 2, outside the stability region; "
+            f"raise grid.M to at least {math.ceil(driver.a_bound / 2.0)}"
+        )
+    out = np.empty((len(times),) + z0.shape)
+    out[0] = z0
+    z = z0
+    for j in range(len(times) - 1):
+        z = _rk4_span(driver, times[j], times[j + 1], z, forcing)
+        out[j + 1] = z
+    return out
+
+
+def _history_forcing(hist: np.ndarray, base_time: float):
+    """Delayed term read from the nodal history on [base_time - 1, base_time]."""
     M = hist.shape[0] - 1
 
     def forcing(t):
         return _nodes_eval(hist, (t - base_time) * M)
 
-    out = np.empty((M + 1,) + z0.shape)
-    out[0] = z0
-    z = z0
-    h = 1.0 / M
-    for j in range(M):
-        z = _rk4_span(driver, base_time + j * h, base_time + (j + 1) * h, z, forcing)
-        out[j + 1] = z
-    return out
+    return forcing
 
 
 @dataclass(frozen=True)
@@ -149,8 +162,7 @@ def fundamental_matrix(driver: Driver, t1: float, t2: float, substeps: int | Non
     if t2 > t1:
         n = substeps if substeps is not None else max(1, int(math.ceil((t2 - t1) * 64 - _TIME_EPS)))
         h = (t2 - t1) / n
-        for j in range(n):
-            Z = _rk4_span(driver, t1 + j * h, t1 + (j + 1) * h, Z, None)
+        Z = _integrate(driver, [t1 + j * h for j in range(n + 1)], Z, None)[-1]
     return FundamentalMatrix(t1, t2, Z)
 
 
@@ -173,15 +185,10 @@ def step_bounds(driver: Driver, base_time: float, grid: GridSpec) -> StepBounds:
     driver._check_inside(base_time)
     driver._check_inside(base_time + 1.0)
     M, h = grid.M, grid.h
-    N = driver.dimension
 
     # one integration pass gives all grid-time fundamental matrices
-    phis = np.empty((M + 1, N, N))
-    phis[0] = np.eye(N)
-    Z = np.eye(N)
-    for j in range(M):
-        Z = _rk4_span(driver, base_time + j * h, base_time + (j + 1) * h, Z, None)
-        phis[j + 1] = Z
+    times = [base_time + j * h for j in range(M + 1)]
+    phis = _integrate(driver, times, np.eye(driver.dimension), None)
     inv_phis = np.linalg.inv(phis)
     lo, hi = np.triu_indices(M + 1, k=1)
     pair_mats = phis[hi] @ inv_phis[lo]  # flow over [t_lo, t_hi] by composition
@@ -200,9 +207,8 @@ def step_bounds(driver: Driver, base_time: float, grid: GridSpec) -> StepBounds:
 def unit_step_c(driver: Driver, base_time: float, u: ContinuousSegment) -> ContinuousSegment:
     """One delay span forward on the continuous fiber."""
     _check_grid(driver, u.grid, u.dimension, base_time)
-    hist = u.values[:, :, None]
-    out = _advance_unit(driver, base_time, hist[-1], hist)
-    return ContinuousSegment(u.grid, out[:, :, 0])
+    out = unit_step_block(driver, base_time, "continuous", u.coords(), u.grid)
+    return ContinuousSegment.from_coords(u.grid, out, u.dimension)
 
 
 def unit_step_l(driver: Driver, base_time: float, u: LpSegment) -> LpSegment:
@@ -213,9 +219,8 @@ def unit_step_l(driver: Driver, base_time: float, u: LpSegment) -> LpSegment:
     so the image lies in the embedded range.
     """
     _check_grid(driver, u.grid, u.dimension, base_time)
-    hist = u.density[:, :, None]
-    out = _advance_unit(driver, base_time, u.head[:, None], hist)
-    return LpSegment(u.grid, out[-1, :, 0], out[:, :, 0], u.p)
+    out = unit_step_block(driver, base_time, "lp", u.coords(), u.grid)
+    return LpSegment.from_coords(u.grid, out, u.dimension, u.p)
 
 
 def _check_grid(driver, grid, dimension, base_time):
@@ -251,20 +256,13 @@ def _partial_step(driver, base_time, u, f):
     is_lp = isinstance(u, LpSegment)
     hist = (u.density if is_lp else u.values)[:, :, None]
     z0 = (u.head if is_lp else u.values[-1])[:, None]
-
-    def forcing(t):
-        return _nodes_eval(hist, (t - base_time) * M)
+    forcing = _history_forcing(hist, base_time)
 
     k_float = f * M
     aligned = abs(k_float - round(k_float)) < 1e-12 and round(k_float) >= 1
     if aligned:
         k = int(round(k_float))
-        sol = np.empty((k + 1,) + z0.shape)
-        sol[0] = z0
-        z = z0
-        for j in range(k):
-            z = _rk4_span(driver, base_time + j * h, base_time + (j + 1) * h, z, forcing)
-            sol[j + 1] = z
+        sol = _integrate(driver, [base_time + j * h for j in range(k + 1)], z0, forcing)
         out = np.empty_like(hist)
         out[: M + 1 - k] = hist[k:]
         out[M + 1 - k :] = sol[1:]
@@ -276,13 +274,7 @@ def _partial_step(driver, base_time, u, f):
         cuts = driver.switch_times_in(base_time + _TIME_EPS, base_time + f - _TIME_EPS)
         breaks = np.union1d(uniform, cuts)
         n_br = len(breaks)
-
-        zs = np.empty((n_br,) + z0.shape)
-        zs[0] = z0
-        z = z0
-        for j in range(n_br - 1):
-            z = _rk4_span(driver, breaks[j], breaks[j + 1], z, forcing)
-            zs[j + 1] = z
+        zs = _integrate(driver, breaks.tolist(), z0, forcing)
 
         # one-sided slopes per piece; piecewise-constant coefficients are read
         # at the piece midpoint so jumps never leak across a breakpoint
@@ -382,7 +374,9 @@ def unit_step_block(
     else:
         z0 = X[:N]
         hist = X[N:].reshape(grid.M + 1, N, K)
-    out = _advance_unit(driver, base_time, z0, hist)
+    h = grid.h
+    times = [base_time + j * h for j in range(grid.M + 1)]
+    out = _integrate(driver, times, z0, _history_forcing(hist, base_time))
     flat = out.reshape(-1, K)
     result = flat if fiber_kind == "continuous" else np.vstack([out[-1], flat])
     return result[:, 0] if squeeze else result
@@ -397,9 +391,6 @@ class UnitStepOperator:
     grid: GridSpec
     dimension: int
     matrix: np.ndarray
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        return self.matrix @ coords
 
     def to_csv(self, path) -> None:
         np.savetxt(path, self.matrix, delimiter=",")

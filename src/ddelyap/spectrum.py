@@ -14,8 +14,10 @@ covariant vector carries the negative semiorbit that produced it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -43,7 +45,6 @@ __all__ = [
     "qr_spectrum",
     "oseledets_frames",
     "vector_growth_rate",
-    "backward_rate_check",
     "temperedness_check",
     "step_bound_slopes",
     "compare_fibers",
@@ -105,9 +106,14 @@ def probe_block(driver: Driver, fiber_kind: str, grid: GridSpec, k: int, seed: i
     d = fiber_dim(grid, driver.dimension, fiber_kind)
     if k > d:
         raise ValueError(f"probe size {k} exceeds fiber dimension {d}")
-    s = driver.spec.seed if seed is None else seed
-    rng = _stream(s, _PROBE_TAGS[fiber_kind])
-    return orthonormalize(rng.standard_normal((d, k))).vectors
+    return _seeded_block(driver, fiber_kind, grid, driver.spec.seed if seed is None else seed, 0, k)
+
+
+def _seeded_block(driver, fiber_kind, grid, seed, tag, width):
+    """Orthonormal block from a Gaussian draw, independent stream per tag and fiber."""
+    d = fiber_dim(grid, driver.dimension, fiber_kind)
+    rng = _stream(seed, tag + _PROBE_TAGS[fiber_kind])
+    return orthonormalize(rng.standard_normal((d, width))).vectors
 
 
 def _signed_qr(B: np.ndarray):
@@ -136,35 +142,20 @@ class QRSpectrum:
     gap_tol: float
 
 
-def _qr_run(driver, fiber_kind, grid, Q0, base_time, steps, renorm_every, floor_rate, reseed_stream=None):
-    """Push a block through unit steps with periodic QR; log-diagonal records."""
-    Q = Q0.copy()
-    k = Q.shape[1]
-    floor_inc = floor_rate * renorm_every
-    records = []
-    collapse = np.zeros(k, dtype=bool)
-    reseeds = 0
-    t = base_time
+def _push(driver, fiber_kind, grid, Q, t0, steps, every=1):
+    """Push a block through `steps` unit steps from time t0, QR every `every` steps.
+
+    Yields (t, Q, R) after each QR, t being the time reached; R has a
+    nonnegative diagonal.  A caller may overwrite columns of the yielded Q in
+    place to reseed the push.
+    """
+    t = t0
     for step in range(steps):
         Q = unit_step_block(driver, t, fiber_kind, Q, grid)
-        t += 1.0
-        if (step + 1) % renorm_every == 0:
-            Q, diag, _ = _signed_qr(Q)
-            with np.errstate(divide="ignore"):
-                inc = np.log(diag)
-            dead = ~np.isfinite(inc) | (inc < floor_inc)
-            inc[dead] = floor_inc
-            collapse |= dead
-            if np.any(dead) and reseed_stream is not None:
-                fresh = reseed_stream.standard_normal((Q.shape[0], int(dead.sum())))
-                fresh -= Q @ (Q.T @ fresh)
-                norms = np.linalg.norm(fresh, axis=0)
-                good = norms > 0
-                fresh[:, good] /= norms[good]
-                Q[:, dead] = fresh
-                reseeds += int(dead.sum())
-            records.append(inc)
-    return Q, np.array(records), collapse, reseeds
+        t += 1
+        if (step + 1) % every == 0:
+            Q, _, R = _signed_qr(Q)
+            yield t, Q, R
 
 
 def _exponents_from_records(records, transient_records, floor_rate, renorm_every):
@@ -224,19 +215,8 @@ def top_exponent(
     it is a stability heuristic, not an error bound, since the underlying
     subadditive limit comes with no convergence rate.
     """
-    one = SpectrumConfig(
-        k=1,
-        horizon=config.horizon,
-        renorm_every=config.renorm_every,
-        transient=config.transient,
-        push_steps=config.push_steps,
-        filtration_steps=config.filtration_steps,
-        gap_tol=config.gap_tol,
-        floor_rate=config.floor_rate,
-        probe_seed=config.probe_seed,
-    )
     probe = probe[:, :1] if probe is not None else None
-    qr = qr_spectrum(driver, fiber_kind, grid, one, probe=probe)
+    qr = qr_spectrum(driver, fiber_kind, grid, dataclasses.replace(config, k=1), probe=probe)
     return TopExponent(float(qr.exponents[0]), float(qr.drifts[0]), qr.series[:, 0])
 
 
@@ -253,17 +233,25 @@ def qr_spectrum(
     if probe.shape[1] != config.k:
         raise ValueError("probe block width must equal config.k")
     reseed = _stream(driver.spec.seed if config.probe_seed is None else config.probe_seed, 17)
-    _, records, collapse, reseeds = _qr_run(
-        driver,
-        fiber_kind,
-        grid,
-        probe,
-        0.0,
-        config.horizon,
-        config.renorm_every,
-        config.floor_rate,
-        reseed_stream=reseed,
-    )
+    floor_inc = config.floor_rate * config.renorm_every
+    records = []
+    reseeds = 0
+    for _, Q, R in _push(driver, fiber_kind, grid, probe, 0.0, config.horizon, config.renorm_every):
+        with np.errstate(divide="ignore"):
+            inc = np.log(np.diag(R))
+        # a column at the floor is replaced by a fresh direction orthogonal to the rest
+        dead = ~np.isfinite(inc) | (inc < floor_inc)
+        inc[dead] = floor_inc
+        if np.any(dead):
+            fresh = reseed.standard_normal((Q.shape[0], int(dead.sum())))
+            fresh -= Q @ (Q.T @ fresh)
+            norms = np.linalg.norm(fresh, axis=0)
+            good = norms > 0
+            fresh[:, good] /= norms[good]
+            Q[:, dead] = fresh
+            reseeds += int(dead.sum())
+        records.append(inc)
+    records = np.array(records)
     transient_records = math.ceil(config.effective_transient / config.renorm_every)
     expo, drift, running, floor_flags = _exponents_from_records(
         records, transient_records, config.floor_rate, config.renorm_every
@@ -354,16 +342,10 @@ class SpectrumReport:
     series: np.ndarray
     record_steps: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    push_history: dict = field(default_factory=dict, repr=False)
 
     @property
     def resolved_dims(self) -> list[int]:
-        dims = []
-        total = 0
-        for g in self.groups:
-            total += g["multiplicity"]
-            dims.append(total)
-        return dims
+        return _resolved_dims(self.groups)
 
     def to_dict(self) -> dict:
         return {
@@ -391,6 +373,11 @@ class SpectrumReport:
         return rows
 
 
+def _resolved_dims(groups) -> list[int]:
+    """Cumulative multiplicities: the dimensions of the fast sums E_1 + ... + E_i."""
+    return list(accumulate(g["multiplicity"] for g in groups))
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -413,14 +400,9 @@ def oseledets_frames(
     """Estimate exponents and the Oseledets structure at the sampled times."""
     qr = qr_spectrum(driver, fiber_kind, grid, config, probe=probe)
     sample_times = tuple(sorted(config.sample_times))
-    dims = []
-    total = 0
-    for g in qr.groups:
-        total += g["multiplicity"]
-        dims.append(total)
+    dims = _resolved_dims(qr.groups)
     if not dims:
         raise ValueError("no exponents resolved above the floor; raise k or horizon")
-    D_total = dims[-1]
 
     cache = _OperatorCache(driver, fiber_kind, grid)
     seed = driver.spec.seed if config.probe_seed is None else config.probe_seed
@@ -432,21 +414,13 @@ def oseledets_frames(
         )
 
     # push an orthonormal block up from -push_steps, QR at every step
-    push_probe = orthonormalize(
-        _stream(seed, 23 + _PROBE_TAGS[fiber_kind]).standard_normal(
-            (fiber_dim(grid, driver.dimension, fiber_kind), D_total)
-        )
-    ).vectors
+    t0 = -config.push_steps
+    push_probe = _seeded_block(driver, fiber_kind, grid, seed, 23, dims[-1])
+    d = push_probe.shape[0]
     Q_hist: dict[int, np.ndarray] = {}
     R_hist: dict[int, np.ndarray] = {}
-    Q = push_probe
-    t0 = -config.push_steps
-    Q_hist[t0] = Q
-    for t in range(t0, max(sample_times)):
-        Q = unit_step_block(driver, float(t), fiber_kind, Q, grid)
-        Q, _, R = _signed_qr(Q)
-        Q_hist[t + 1] = Q
-        R_hist[t + 1] = R
+    for t, Q, R in _push(driver, fiber_kind, grid, push_probe, t0, max(sample_times) - t0):
+        Q_hist[t], R_hist[t] = Q, R
 
     E_frames: dict[int, list[SubspaceFrame]] = {}
     intersection_angles: dict[int, list[float]] = {}
@@ -455,9 +429,9 @@ def oseledets_frames(
         angles_s = []
         for i, g in enumerate(qr.groups):
             D_i = dims[i]
-            fast = SubspaceFrame(Q.shape[0], Q_hist[s][:, :D_i])
+            fast = SubspaceFrame(d, Q_hist[s][:, :D_i])
             if i == 0:
-                frame = SubspaceFrame(Q.shape[0], Q_hist[s][:, : dims[0]].copy())
+                frame = SubspaceFrame(d, Q_hist[s][:, : dims[0]].copy())
                 angles_s.append(0.0)
             else:
                 frame, ia = subspace_intersection(
@@ -481,7 +455,7 @@ def oseledets_frames(
             )
         equivariance[s] = angles
 
-    report = SpectrumReport(
+    return SpectrumReport(
         fiber_kind=fiber_kind,
         grid_m=grid.M,
         config=config,
@@ -499,21 +473,19 @@ def oseledets_frames(
             "equivariance_angles": equivariance,
             "filtration_rates": {s: r[: config.k] for s, r in filtration_rates.items()},
             "reseeds": qr.reseeds,
+            "backward_slopes": _backward_slopes(E_frames.get(0, []), dims, Q_hist, R_hist, t0),
         },
-        push_history={"Q": Q_hist, "R": R_hist, "start": t0},
     )
-    report.diagnostics["backward_slopes"] = _backward_slopes_from_history(report)
-    return report
 
 
-def _backward_slopes_from_history(report: SpectrumReport, burn_fraction: float = 0.25):
-    """Regression slopes of the stored negative-time trajectories of E vectors."""
-    Q_hist = report.push_history["Q"]
-    R_hist = report.push_history["R"]
-    t0 = report.push_history["start"]
-    dims = report.resolved_dims
+def _backward_slopes(frames, dims, Q_hist, R_hist, t0, burn_fraction: float = 0.25):
+    """Regression slopes of the negative-time trajectories of the E vectors at time 0.
+
+    Each frame is expressed in the pushed basis at time 0 and its coefficients
+    are walked back through the stored triangular factors of the push.
+    """
     slopes = []
-    for i, frame in enumerate(report.E_frames.get(0, [])):
+    for i, frame in enumerate(frames):
         D_i = dims[i]
         k_push = Q_hist[0].shape[1]
         coeff = Q_hist[0][:, :D_i].T @ frame.vectors
@@ -539,31 +511,6 @@ def _backward_slopes_from_history(report: SpectrumReport, burn_fraction: float =
     return slopes
 
 
-def backward_rate_check(
-    driver: Driver,
-    fiber_kind: str,
-    E_frame: SubspaceFrame,
-    exponent_index: int,
-    grid: GridSpec,
-    config: SpectrumConfig,
-) -> list[float]:
-    """Backward growth slopes of the negative semiorbits behind an E frame.
-
-    Reruns the deterministic push that produced the frame, expresses the frame
-    in the pushed basis at time 0, and walks the coefficients back through the
-    stored triangular factors.
-    """
-    report = oseledets_frames(driver, fiber_kind, grid, config)
-    slopes = _backward_slopes_from_history(report)
-    if exponent_index >= len(slopes):
-        raise ValueError(f"no resolved exponent group {exponent_index}")
-    ref = report.E_frames[0][exponent_index]
-    align = float(np.max(principal_angles(E_frame, ref)))
-    if align > 0.3:
-        raise ValueError("supplied frame does not match the resolved covariant space")
-    return slopes[exponent_index]
-
-
 def vector_growth_rate(
     driver: Driver,
     fiber_kind: str,
@@ -581,24 +528,21 @@ def vector_growth_rate(
     the string "-inf" for trajectories at or below the floor, or None when no
     exponent list is supplied.
     """
-    x = np.asarray(coords, dtype=float).copy()
+    x = np.asarray(coords, dtype=float)
     n0 = np.linalg.norm(x)
     if n0 == 0:
         raise ValueError("zero vector has no growth rate")
-    x /= n0
     transient = max(1, horizon // 10) if transient is None else transient
     logs = [0.0]
     acc = 0.0
-    for t in range(horizon):
-        x = unit_step_block(driver, float(t), fiber_kind, x, grid)
-        n = float(np.linalg.norm(x))
+    for t, _, R in _push(driver, fiber_kind, grid, (x / n0)[:, None], 0.0, horizon):
+        n = float(R[0, 0])
         if n == 0.0:
             return -np.inf, "-inf"
         acc += math.log(n)
         logs.append(acc)
-        if acc / (t + 1) < floor_rate:
+        if acc / t < floor_rate:
             return -np.inf, "-inf"
-        x /= n
     ts = np.arange(transient, horizon + 1, dtype=float)
     slope = float(np.polyfit(ts, np.array(logs)[transient:], 1)[0])
     if exponents is None:
@@ -633,18 +577,9 @@ def temperedness_check(
 
     # one continuous push provides the fast sums at every sample time
     seed = driver.spec.seed if config.probe_seed is None else config.probe_seed
-    d = fiber_dim(grid, driver.dimension, fiber_kind)
-    Q = orthonormalize(
-        _stream(seed, 29 + _PROBE_TAGS[fiber_kind]).standard_normal((d, dims[-1]))
-    ).vectors
-    Q_at: dict[int, np.ndarray] = {}
-    t = -config.push_steps
-    for step in range(config.push_steps + horizon):
-        Q = unit_step_block(driver, float(t), fiber_kind, Q, grid)
-        Q, _, _ = _signed_qr(Q)
-        t += 1
-        if t >= 0 and t in samples:
-            Q_at[t] = Q
+    probe = _seeded_block(driver, fiber_kind, grid, seed, 29, dims[-1])
+    pushed = _push(driver, fiber_kind, grid, probe, -config.push_steps, config.push_steps + horizon)
+    Q_at = {t: Q for t, Q, _ in pushed if t >= 0 and t in samples}
     norms = {i: [] for i in range(len(dims))}
     conditions = []
     for s in samples:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddelyap.config import ConfigError, parse_config
 from ddelyap.drivers import (
     DriverSpec,
     realize,
@@ -210,3 +211,49 @@ def test_summability_rejects_bad_horizon():
 def test_stationary_distribution_two_state():
     pi = stationary_distribution(np.array([[-2.0, 2.0], [1.0, -1.0]]))
     assert np.allclose(pi, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("generator", [[[0.0, 0.0], [0.0, 0.0]], [[-1.0, 1.0], [0.0, 0.0]]])
+def test_reducible_generators_rejected(telegraph_states, generator):
+    with pytest.raises(ValueError, match="irreducible"):
+        stationary_distribution(np.array(generator))
+    with pytest.raises(ValueError, match="irreducible"):
+        DriverSpec("telegraph", 2, {"states": telegraph_states, "generator": generator})
+    doc = {
+        "experiment": "spectrum",
+        "driver": {
+            "kind": "telegraph",
+            "dimension": 2,
+            "states": [{"A": A.tolist(), "B": B.tolist()} for A, B in telegraph_states],
+            "generator": generator,
+        },
+        "grid": {"M": 16},
+        "spectrum": {"k": 2, "horizon": 30},
+    }
+    with pytest.raises(ConfigError, match="irreducible"):
+        parse_config(doc)
+
+
+def test_a_bound_covers_every_driver_kind(telegraph_states):
+    rng = np.random.default_rng(5)
+    qp = DriverSpec(
+        "quasi_periodic",
+        2,
+        {
+            "freqs": [1.3, 2.9],
+            "a0": rng.normal(size=(2, 2)),
+            "b0": rng.normal(size=(2, 2)),
+            "a_cos": rng.normal(size=(2, 2, 2)),
+            "a_sin": rng.normal(size=(2, 2, 2)),
+            "b_cos": rng.normal(size=(2, 2, 2)),
+            "b_sin": rng.normal(size=(2, 2, 2)),
+        },
+    )
+    specs = [constant_spec(np.diag([-3.0, 1.0]), np.eye(2)), qp, two_state_spec(telegraph_states)]
+    ts = np.linspace(-10.0, 10.0, 401)
+    for spec in specs:
+        drv = realize(spec, (-12.0, 12.0))
+        for d in (drv, drv.shifted(1.5)):
+            assert max(spectral_norm(d.matrices(t)[0]) for t in ts) <= d.a_bound + 1e-12
+    assert realize(specs[0], (0.0, 1.0)).a_bound == pytest.approx(3.0)
+    assert realize(specs[2], (0.0, 1.0)).a_bound == max(spectral_norm(A) for A, _ in telegraph_states)

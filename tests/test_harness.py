@@ -197,7 +197,7 @@ class TestOtherExperiments:
         }
         path = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out), "--threads", "2"]) == 0
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         conv = json.loads((out / "converge.json").read_text())
         assert [r["M"] for r in conv["rows"]] == [8, 16, 32]
         g1, g2 = conv["gaps"][0]["max_gap"], conv["gaps"][1]["max_gap"]

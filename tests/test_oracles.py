@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from ddelyap.oracles import characteristic_roots, monodromy_exponents, monodromy_frames
 
@@ -42,6 +43,15 @@ class TestCharacteristicRoots:
         assert len(roots) == 6
         reals = [r.value.real for r in roots]
         assert reals == sorted(reals, reverse=True)
+
+    def test_close_real_roots_both_found(self):
+        # |f| has one minimum on the real scan row here but changes sign twice
+        a, b = np.array([1.0, 0.44798]), np.array([0.72592, 1.0])
+        exact = sorted((a + lambertw(b * np.exp(-a)).real).tolist(), reverse=True)
+        roots = characteristic_roots(np.diag(a), np.diag(b), 2)
+        assert [r.value.imag for r in roots] == [0.0, 0.0]
+        assert [r.value.real for r in roots] == pytest.approx(exact, abs=1e-10)
+        assert exact == pytest.approx([1.21532, 0.86784], abs=1e-5)
 
     def test_rectangle_expansion_failure_raises(self):
         with pytest.raises(RuntimeError):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ddelyap.drivers import DriverSpec, realize
+from ddelyap.drivers import DriverSpec, _stream, realize
 from ddelyap.fibers import (
     GridSpec,
     SubspaceFrame,
@@ -10,11 +12,10 @@ from ddelyap.fibers import (
     orthonormalize,
     principal_angles,
 )
-from ddelyap.oracles import monodromy_exponents, monodromy_frames
-from ddelyap.propagation import assemble_unit_operator
+from ddelyap.oracles import characteristic_roots, monodromy_exponents, monodromy_frames
+from ddelyap.propagation import assemble_unit_operator, unit_step_block
 from ddelyap.spectrum import (
     SpectrumConfig,
-    backward_rate_check,
     compare_fibers,
     oseledets_frames,
     probe_block,
@@ -140,6 +141,84 @@ class TestQRSpectrum:
             assert np.max(np.abs(results[0] - other)) <= 1e-6
 
 
+def reference_qr(driver, fiber_kind, grid, config):
+    """Plain-loop discrete QR: unit_step_block, then signed QR every renorm_every steps."""
+    Q = probe_block(driver, fiber_kind, grid, config.k)
+    reseed = _stream(driver.spec.seed, 17)
+    floor_inc = config.floor_rate * config.renorm_every
+    records, reseeds = [], 0
+    for step in range(config.horizon):
+        Q = unit_step_block(driver, float(step), fiber_kind, Q, grid)
+        if (step + 1) % config.renorm_every == 0:
+            Q, R = np.linalg.qr(Q)
+            Q = Q * np.where(np.diag(R) < 0, -1.0, 1.0)
+            with np.errstate(divide="ignore"):
+                inc = np.log(np.abs(np.diag(R)))
+            dead = ~np.isfinite(inc) | (inc < floor_inc)
+            inc[dead] = floor_inc
+            if dead.any():
+                fresh = reseed.standard_normal((Q.shape[0], int(dead.sum())))
+                fresh -= Q @ (Q.T @ fresh)
+                Q[:, dead] = fresh / np.linalg.norm(fresh, axis=0)
+                reseeds += int(dead.sum())
+            records.append(inc)
+    transient = math.ceil(config.effective_transient / config.renorm_every)
+    expo = (np.array(records[transient:]) / config.renorm_every).mean(axis=0)
+    return np.sort(expo)[::-1], reseeds
+
+
+class TestPlainLoopReference:
+    @pytest.mark.parametrize("renorm_every", [1, 3])
+    def test_qr_spectrum_with_reseeds(self, zero_driver, zero_cfg, renorm_every):
+        # rank-2 unit step with k = 3: the third column dies and is reseeded
+        cfg = SpectrumConfig(k=3, horizon=40, transient=6, renorm_every=renorm_every, floor_rate=-5.0)
+        g = GridSpec(16)
+        qr = qr_spectrum(zero_driver, "continuous", g, cfg)
+        expo, reseeds = reference_qr(zero_driver, "continuous", g, cfg)
+        assert np.array_equal(qr.exponents, expo)
+        assert qr.reseeds == reseeds == 40 // renorm_every
+
+    @pytest.mark.parametrize("fiber_kind", ["continuous", "lp"])
+    def test_qr_spectrum_renorm_interval(self, fiber_kind):
+        # horizon 40 is not a multiple of 3: the last step runs without a QR
+        cfg = SpectrumConfig(k=2, horizon=40, transient=6, renorm_every=3, push_steps=10)
+        drv = make_driver("telegraph", config=cfg)
+        g = GridSpec(16)
+        qr = qr_spectrum(drv, fiber_kind, g, cfg)
+        expo, reseeds = reference_qr(drv, fiber_kind, g, cfg)
+        assert np.array_equal(qr.exponents, expo)
+        assert qr.reseeds == reseeds == 0
+
+    def test_vector_growth_rate(self):
+        cfg = SpectrumConfig(k=1, horizon=40)
+        drv = make_driver("telegraph", config=cfg)
+        g = GridSpec(16)
+        v = np.random.default_rng(1).normal(size=34)
+        x = v / np.linalg.norm(v)
+        logs = [0.0]
+        for t in range(30):
+            x = unit_step_block(drv, float(t), "continuous", x, g)
+            n = np.linalg.norm(x)
+            logs.append(logs[-1] + math.log(n))
+            x /= n
+        expected = np.polyfit(np.arange(5, 31, dtype=float), logs[5:], 1)[0]
+        slope, _ = vector_growth_rate(drv, "continuous", g, v, 30, transient=5)
+        assert slope == pytest.approx(expected, abs=1e-12)
+
+
+class TestStepSizeGuard:
+    def test_stiff_decay(self):
+        # h |A| = 6.25 at M = 8 lies outside RK4's stability region, where the rate comes out near +28.9
+        A, B = -50.0 * np.eye(2), 0.5 * np.eye(2)
+        cfg = SpectrumConfig(k=1, horizon=200, transient=30)
+        drv = realize(DriverSpec("constant", 2, {"A0": A, "B0": B}), required_window(cfg))
+        with pytest.raises(ValueError, match="grid.M"):
+            qr_spectrum(drv, "continuous", GridSpec(8), cfg)
+        root = characteristic_roots(A, B, 1, rectangle=(-10.0, 0.0, 5.0))[0].value
+        qr = qr_spectrum(drv, "continuous", GridSpec(32), cfg)
+        assert qr.exponents[0] == pytest.approx(root.real, abs=1e-2)
+
+
 @pytest.fixture(scope="module")
 def periodic_setup():
     spec = DriverSpec(
@@ -234,14 +313,6 @@ class TestOseledetsFrames:
         drv2 = make_driver("ode_diag", config=cfg2)
         rep2 = oseledets_frames(drv2, "continuous", g, cfg2)
         assert rep2.diagnostics["backward_slopes"][1][0] == pytest.approx(-2.0, abs=1e-3)
-
-    def test_backward_rate_check_entry_point(self, zero_driver, zero_cfg):
-        g = GridSpec(16)
-        rep = oseledets_frames(zero_driver, "continuous", g, zero_cfg)
-        slopes = backward_rate_check(
-            zero_driver, "continuous", rep.E_frames[0][0], 0, g, zero_cfg
-        )
-        assert max(abs(s) for s in slopes) <= 1e-8
 
 
 class TestVectorRates:
