@@ -301,6 +301,15 @@ class TestOseledetsFrames:
         for slope in rep.diagnostics["backward_slopes"][0]:
             assert abs(slope) <= 1e-8
 
+    def test_backward_rate_check_entry_point(self, zero_driver, zero_cfg):
+        # the backward rates of an E frame are read from the report's diagnostics
+        g = GridSpec(16)
+        rep = oseledets_frames(zero_driver, "continuous", g, zero_cfg)
+        slopes = rep.diagnostics["backward_slopes"]
+        assert len(slopes) == len(rep.E_frames[0])
+        assert len(slopes[0]) == rep.E_frames[0][0].dim
+        assert max(abs(s) for s in slopes[0]) <= 1e-8
+
     def test_backward_rates_constant_cases(self):
         cfg = SpectrumConfig(k=2, horizon=120, transient=20, push_steps=40, filtration_steps=30)
         drv = make_driver("delay_identity", config=cfg)
