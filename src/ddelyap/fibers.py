@@ -82,13 +82,6 @@ class ContinuousSegment:
     def from_coords(cls, grid: GridSpec, coords: np.ndarray, dimension: int):
         return cls(grid, np.asarray(coords, dtype=float).reshape(grid.M + 1, dimension))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, f, dimension: int | None = None):
-        vals = np.array([np.atleast_1d(f(s)) for s in grid.nodes], dtype=float)
-        if dimension is not None and vals.shape[1] != dimension:
-            raise ValueError("function output dimension mismatch")
-        return cls(grid, vals)
-
 
 @dataclass
 class LpSegment:

@@ -2,8 +2,10 @@
 
 For constant (A, B) the exact exponential rates are the real parts of the
 characteristic roots, the zeros of det(lambda*I - A - B*exp(-lambda)); they
-are located by a coarse modulus scan over a complex rectangle followed by
-Newton polishing with the analytic derivative.  For coefficients of period
+are seeded by the eigenvalues of a Chebyshev collocation of the delay
+equation's infinitesimal generator (Breda, Maset and Vermiglio, 2005),
+polished by Newton's method with the analytic derivative, and certified
+complete by an argument-principle zero count.  For coefficients of period
 one, the dense unit-step matrix is a monodromy operator whose eigenvalues and
 eigenvectors give the exponents and covariant subspaces of the discretized
 system directly.
@@ -69,101 +71,98 @@ def _newton_polish(lam: complex, A, B, iters: int = 60):
     return lam, abs(f), max(mult, 1)
 
 
-def characteristic_roots(
-    A: np.ndarray,
-    B: np.ndarray,
-    count: int,
-    residual_tol: float = 1e-10,
-    rectangle: tuple[float, float, float] | None = None,
-) -> list[CharacteristicRoot]:
-    """The `count` characteristic roots with largest real parts.
+def _collocation(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """Chebyshev collocation of phi -> phi' on [-1, 0] with phi'(0) = A phi(0) + B phi(-1).
 
-    Conjugate pairs count as two roots.  The scan rectangle expands once
-    automatically if too few roots are found inside it.
+    D is Trefethen's `cheb` matrix, doubled for the unit interval; node 0 is theta = 0.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.r_[2.0, np.ones(n - 1), 2.0] * (-1.0) ** np.arange(n + 1)
+    D = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
     N = A.shape[0]
-    na, nb = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
-    if rectangle is None:
-        x_lo = -(5.0 + na + nb)
-        x_hi = na + nb + 1.0
-        y_hi = 2.0 * np.pi * (count + 2) + na
-    else:
-        x_lo, x_hi, y_hi = rectangle
+    L = np.kron(2.0 * D, np.eye(N))
+    L[:N] = np.hstack([A, np.zeros((N, (n - 1) * N)), B])
+    return L
 
-    for attempt in range(2):
-        roots = _scan_and_polish(A, B, x_lo, x_hi, y_hi, residual_tol)
-        total = sum(2 if abs(r.value.imag) > 1e-9 else 1 for r in roots) + sum(
-            (r.multiplicity - 1) * (2 if abs(r.value.imag) > 1e-9 else 1) for r in roots
-        )
-        if total >= count:
+
+def _polished_roots(A, B, n: int, count: int):
+    """Polished collocation eigenvalues, one entry per root, rightmost first, and
+    the index of the first root distinctly left of the count-th (None if none).
+
+    Seeds with Im >= 0 are polished rightmost first until one lies left of that root.
+    """
+    seeds = np.linalg.eigvals(_collocation(A, B, n))
+    roots: list[CharacteristicRoot] = []
+    cut = None
+    for seed in sorted(seeds[seeds.imag >= 0].tolist(), key=lambda z: -z.real):
+        if cut is not None and seed.real < roots[cut].value.real:
             break
-        x_lo, y_hi = 2.0 * x_lo - 1.0, 2.0 * y_hi
-    else:
-        raise RuntimeError(
-            f"found only {total} characteristic roots after expanding the scan rectangle"
-        )
-
-    # expand into individual entries: conjugates and multiplicities
-    expanded: list[CharacteristicRoot] = []
-    for r in sorted(roots, key=lambda r: -r.value.real):
-        copies = [r.value] * r.multiplicity
-        if abs(r.value.imag) > 1e-9:
-            copies += [r.value.conjugate()] * r.multiplicity
-        for v in copies:
-            expanded.append(CharacteristicRoot(v, r.residual, r.multiplicity))
-    expanded.sort(key=lambda r: (-r.value.real, abs(r.value.imag)))
-    if len(expanded) < count:
-        raise RuntimeError(f"only {len(expanded)} roots located, {count} requested")
-    return expanded[:count]
-
-
-def _scan_and_polish(A, B, x_lo, x_hi, y_hi, residual_tol):
-    nx = max(40, int(6 * (x_hi - x_lo)))
-    ny = max(40, int(6 * y_hi))
-    xs = np.linspace(x_lo, x_hi, nx)
-    ys = np.linspace(0.0, y_hi, ny)
-    vals = np.empty((ny, nx))
-    real_row = np.empty(nx)  # f is real on the real axis
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            f, _, _ = _char_value_and_derivative(complex(x, y), A, B)
-            vals[i, j] = abs(f)
-            if i == 0:
-                real_row[j] = np.real(f)
-    found: list[CharacteristicRoot] = []
-    # local minima of |f| on the grid seed Newton
-    interior = vals[1:-1, 1:-1]
-    is_min = np.ones_like(interior, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            is_min &= interior <= vals[1 + di : ny - 1 + di, 1 + dj : nx - 1 + dj]
-    seeds = [complex(xs[j + 1], ys[i + 1]) for i, j in zip(*np.nonzero(is_min))]
-    # boundary rows can hold real roots; seed the y = 0 row minima too
-    row = vals[0]
-    for j in range(1, nx - 1):
-        if row[j] <= row[j - 1] and row[j] <= row[j + 1]:
-            seeds.append(complex(xs[j], 0.0))
-    # two close real roots can share one row minimum but not one sign change
-    sign = np.sign(real_row)
-    seeds += [complex(xs[j], 0.0) for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
-    for seed in seeds:
         lam, resid, mult = _newton_polish(seed, A, B)
-        if resid > residual_tol:
+        lam = complex(lam.real, abs(lam.imag) if abs(lam.imag) >= 1e-9 else 0.0)
+        if resid > 1e-10 or any(abs(lam - r.value) < 1e-8 * (1.0 + abs(lam)) for r in roots):
             continue
-        if not (x_lo - 1.0 <= lam.real <= x_hi + 1.0 and -0.5 <= lam.imag <= y_hi + 1.0):
+        copies = [lam, lam.conjugate()] if lam.imag else [lam]
+        roots += [CharacteristicRoot(v, resid, mult) for v in copies for _ in range(mult)]
+        roots.sort(key=lambda r: (-r.value.real, abs(r.value.imag)))
+        if len(roots) > count:
+            edge = roots[count - 1].value.real - 1e-9 * (1.0 + abs(roots[count - 1].value.real))
+            cut = next((i for i in range(count, len(roots)) if roots[i].value.real < edge), None)
+    return roots, cut
+
+
+def _zero_count(A, B, x_lo: float, x_hi: float, y_hi: float, step: float) -> int | None:
+    """Zeros of the characteristic determinant inside a rectangle, by the argument principle.
+
+    det is evaluated in one batch at boundary points `step` apart (at most
+    2**15 of them), and steps whose phase turns by more than 1 rad are bisected
+    until none is left.  None if that needs over 2**18 points or det is not
+    finite and nonzero there.
+    """
+    N = A.shape[0]
+    step = max(step, 2.0 * (x_hi - x_lo + 2.0 * y_hi) / 2**15)
+    corners = np.array([x_lo, x_hi, x_hi, x_lo, x_lo]) + 1j * y_hi * np.array([-1, -1, 1, 1, -1])
+    edges = [np.linspace(a, b, int(abs(b - a) / step) + 2)[:-1] for a, b in zip(corners, corners[1:])]
+    z = np.r_[np.concatenate(edges), corners[0]]
+
+    def det(lam):
+        return np.linalg.det(lam[:, None, None] * np.eye(N) - A - B * np.exp(-lam)[:, None, None])
+
+    f = det(z)
+    for _ in range(60):
+        if z.size > 2**18 or not np.all(np.isfinite(f) & (f != 0)):
+            return None
+        turn = np.angle(f[1:] / f[:-1])
+        coarse = np.flatnonzero(np.abs(turn) > 1.0)
+        if coarse.size == 0:
+            return round(turn.sum() / (2.0 * np.pi))
+        mid = 0.5 * (z[coarse] + z[coarse + 1])
+        z, f = np.insert(z, coarse + 1, mid), np.insert(f, coarse + 1, det(mid))
+    return None
+
+
+def characteristic_roots(A: np.ndarray, B: np.ndarray, count: int) -> list[CharacteristicRoot]:
+    """The `count` characteristic roots with largest real parts, certified complete.
+
+    Conjugate pairs and multiplicities count as separate roots.  A root right
+    of x_lo, midway between the count-th real part and the next (1 below it
+    if none was found), has |lambda| <= ||A|| + ||B|| exp(-x_lo); the zeros
+    counted in the rectangle this bounds must match the roots found.  The
+    collocation degree doubles from 32 to 256 until they do; else RuntimeError.
+    """
+    A, B = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, B))
+    na, nb = np.linalg.norm(A, 2), np.linalg.norm(B, 2)
+    for n in (32, 64, 128, 256):
+        roots, cut = _polished_roots(A, B, n, count)
+        if len(roots) < count:
             continue
-        if lam.imag < 0:
-            lam = lam.conjugate()
-        if abs(lam.imag) < 1e-9:
-            lam = complex(lam.real, 0.0)
-        if any(abs(lam - r.value) < 1e-8 * (1.0 + abs(lam)) for r in found):
-            continue
-        found.append(CharacteristicRoot(lam, resid, mult))
-    return found
+        edge = roots[count - 1].value.real
+        x_lo = edge - 1.0 if cut is None else 0.5 * (edge + roots[cut].value.real)
+        y_hi = na + nb * np.exp(-x_lo) + 1.0
+        inside = sum(r.value.real > x_lo for r in roots)
+        if _zero_count(A, B, x_lo, na + nb + 1.0, y_hi, min(0.25, edge - x_lo)) == inside:
+            return roots[:count]
+    raise RuntimeError(f"could not certify {count} characteristic roots up to collocation degree 256")
 
 
 def monodromy_exponents(matrix: np.ndarray, k: int | None = None) -> np.ndarray:

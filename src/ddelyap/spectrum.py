@@ -149,6 +149,8 @@ def _push(driver, fiber_kind, grid, Q, t0, steps, every=1):
     nonnegative diagonal.  A caller may overwrite columns of the yielded Q in
     place to reseed the push.
     """
+    driver._check_inside(t0)
+    driver._check_inside(t0 + steps)
     t = t0
     for step in range(steps):
         Q = unit_step_block(driver, t, fiber_kind, Q, grid)

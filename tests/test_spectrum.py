@@ -214,9 +214,38 @@ class TestStepSizeGuard:
         drv = realize(DriverSpec("constant", 2, {"A0": A, "B0": B}), required_window(cfg))
         with pytest.raises(ValueError, match="grid.M"):
             qr_spectrum(drv, "continuous", GridSpec(8), cfg)
-        root = characteristic_roots(A, B, 1, rectangle=(-10.0, 0.0, 5.0))[0].value
+        root = characteristic_roots(A, B, 1)[0].value
         qr = qr_spectrum(drv, "continuous", GridSpec(32), cfg)
         assert qr.exponents[0] == pytest.approx(root.real, abs=1e-2)
+
+
+def test_push_beyond_realized_window_raises():
+    # a telegraph path realized on (-5, 10) once gave a top exponent of 0.409 at horizon 150
+    spec = DriverSpec(
+        "telegraph",
+        2,
+        {
+            "states": [
+                (np.array([[0.2, 0.5], [-0.3, -0.4]]), np.array([[0.6, -0.2], [0.1, 0.5]])),
+                (np.array([[-0.5, 0.1], [0.2, 0.3]]), np.array([[-0.3, 0.4], [0.5, -0.1]])),
+            ],
+            "generator": [[-1.0, 1.0], [1.0, -1.0]],
+        },
+        seed=7,
+    )
+    drv = realize(spec, (-5.0, 10.0))
+    with pytest.raises(ValueError, match="outside realized window"):
+        qr_spectrum(drv, "continuous", GridSpec(16), SpectrumConfig(k=2, horizon=150, transient=30))
+
+
+def test_qr_matches_close_complex_root_pairs():
+    # the pairs -1.74742 +- 4.41633i and -2.04179 +- 4.50620i lie 0.29 apart in real part
+    A, B = np.array([[-0.5, 0.3], [0.1, -1.0]]), np.array([[0.8, 0.2], [0.0, 0.6]])
+    cfg = SpectrumConfig(k=6, horizon=300)
+    drv = realize(DriverSpec("constant", 2, {"A0": A, "B0": B}), required_window(cfg))
+    qr = qr_spectrum(drv, "continuous", GridSpec(32), cfg)
+    roots = [r.value.real for r in characteristic_roots(A, B, 6)]
+    assert qr.exponents == pytest.approx(roots, abs=5e-3)
 
 
 @pytest.fixture(scope="module")
