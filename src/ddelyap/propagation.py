@@ -1,14 +1,16 @@
 """Solution operators for z'(t) = A(t) z(t) + B(t) z(t-1) on the segment fibers.
 
-The unit-interval operator is realized by the method of steps: over one delay
-span the delayed term is known forcing read from the stored segment nodes, so
-the equation reduces to a linear ODE integrated with fixed-step classical
-Runge-Kutta aligned to the grid.  Stage values of the history between nodes
-come from local cubic interpolation; integration substeps are split at the
-switch times of piecewise-constant drivers so no step straddles a coefficient
-jump.  Both fibers share one integration core, which makes the intertwining
-of the embedding with the unit steps exact at the discrete level, and makes
-integer-time cocycle composition exact by construction.
+One block step advances a segment by any span 0 < f <= 1, the unit step
+being f = 1.  It is the method of steps: over the span the delayed term is
+known forcing read from the stored segment nodes, so the equation reduces to
+a linear ODE integrated with fixed-step classical Runge-Kutta straight onto
+the shifted output nodes; output nodes still inside the old segment are read
+from its nodes.  Stage values of the history between nodes come from local
+cubic interpolation; integration substeps are split at the switch times of
+piecewise-constant drivers so no step straddles a coefficient jump.  Both
+fibers share the one step, which makes the intertwining of the embedding
+with the unit steps exact at the discrete level, and makes integer-time
+cocycle composition exact by construction.
 """
 
 from __future__ import annotations
@@ -130,16 +132,6 @@ def _integrate(driver, times, z0: np.ndarray, forcing) -> np.ndarray:
     return out
 
 
-def _history_forcing(hist: np.ndarray, base_time: float):
-    """Delayed term read from the nodal history on [base_time - 1, base_time]."""
-    M = hist.shape[0] - 1
-
-    def forcing(t):
-        return _nodes_eval(hist, (t - base_time) * M)
-
-    return forcing
-
-
 @dataclass(frozen=True)
 class FundamentalMatrix:
     """Solution operator of the undelayed part z' = A(t) z between two times."""
@@ -206,9 +198,7 @@ def step_bounds(driver: Driver, base_time: float, grid: GridSpec) -> StepBounds:
 
 def unit_step_c(driver: Driver, base_time: float, u: ContinuousSegment) -> ContinuousSegment:
     """One delay span forward on the continuous fiber."""
-    _check_grid(driver, u.grid, u.dimension, base_time)
-    out = unit_step_block(driver, base_time, "continuous", u.coords(), u.grid)
-    return ContinuousSegment.from_coords(u.grid, out, u.dimension)
+    return _segment_step(driver, base_time, u, 1.0)
 
 
 def unit_step_l(driver: Driver, base_time: float, u: LpSegment) -> LpSegment:
@@ -218,108 +208,40 @@ def unit_step_l(driver: Driver, base_time: float, u: LpSegment) -> LpSegment:
     term; after one span the output head equals the output density at s = 0,
     so the image lies in the embedded range.
     """
-    _check_grid(driver, u.grid, u.dimension, base_time)
-    out = unit_step_block(driver, base_time, "lp", u.coords(), u.grid)
-    return LpSegment.from_coords(u.grid, out, u.dimension, u.p)
+    return _segment_step(driver, base_time, u, 1.0)
 
 
-def _check_grid(driver, grid, dimension, base_time):
-    if dimension != driver.dimension:
+def _segment_step(driver, base_time, u, f):
+    """The segment at base_time + f, 0 < f <= 1, on the input's fiber."""
+    if u.dimension != driver.dimension:
         raise ValueError(
-            f"segment dimension {dimension} does not match driver dimension {driver.dimension}"
+            f"segment dimension {u.dimension} does not match driver dimension {driver.dimension}"
         )
     driver._check_inside(base_time)
-    driver._check_inside(base_time + 1.0)
-
-
-def _hermite(y0, m0, y1, m1, length, theta):
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * y0
-        + (t3 - 2.0 * t2 + theta) * length * m0
-        + (-2.0 * t3 + 3.0 * t2) * y1
-        + (t3 - t2) * length * m1
-    )
-
-
-def _partial_step(driver, base_time, u, f):
-    """Advance a segment by a fractional span 0 < f < 1.
-
-    Grid-aligned fractions shift nodes exactly.  Otherwise the output nodes
-    are re-interpolated: the old-segment side from its own nodes, the new
-    solution by cubic Hermite between breakpoints that include every switch
-    time, so no interpolation interval straddles a derivative jump.
-    """
-    grid = u.grid
-    M, h = grid.M, grid.h
-    is_lp = isinstance(u, LpSegment)
-    hist = (u.density if is_lp else u.values)[:, :, None]
-    z0 = (u.head if is_lp else u.values[-1])[:, None]
-    forcing = _history_forcing(hist, base_time)
-
-    k_float = f * M
-    aligned = abs(k_float - round(k_float)) < 1e-12 and round(k_float) >= 1
-    if aligned:
-        k = int(round(k_float))
-        sol = _integrate(driver, [base_time + j * h for j in range(k + 1)], z0, forcing)
-        out = np.empty_like(hist)
-        out[: M + 1 - k] = hist[k:]
-        out[M + 1 - k :] = sol[1:]
-        head = sol[-1]
+    driver._check_inside(base_time + f)
+    lp = isinstance(u, LpSegment)
+    kind = "lp" if lp else "continuous"
+    if f == 1.0:
+        out = unit_step_block(driver, base_time, kind, u.coords(), u.grid)
     else:
-        n_sub = max(3, int(math.ceil(k_float)))
-        h_sub = f / n_sub
-        uniform = base_time + h_sub * np.arange(n_sub + 1)
-        cuts = driver.switch_times_in(base_time + _TIME_EPS, base_time + f - _TIME_EPS)
-        breaks = np.union1d(uniform, cuts)
-        n_br = len(breaks)
-        zs = _integrate(driver, breaks.tolist(), z0, forcing)
-
-        # one-sided slopes per piece; piecewise-constant coefficients are read
-        # at the piece midpoint so jumps never leak across a breakpoint
-        right_slope = np.empty((n_br - 1,) + z0.shape)
-        left_slope = np.empty((n_br - 1,) + z0.shape)
-        for j in range(n_br - 1):
-            lo, hi = breaks[j], breaks[j + 1]
-            if driver.piecewise_constant:
-                A_lo, B_lo = driver.matrices(0.5 * (lo + hi))
-                A_hi, B_hi = A_lo, B_lo
-            else:
-                A_lo, B_lo = driver.matrices(lo)
-                A_hi, B_hi = driver.matrices(hi)
-            right_slope[j] = A_lo @ zs[j] + B_lo @ forcing(lo)
-            left_slope[j] = A_hi @ zs[j + 1] + B_hi @ forcing(hi)
-
-        out = np.empty_like(hist)
-        for j in range(M + 1):
-            tau = f + (-1.0 + j * h)
-            if tau >= -1e-13:
-                t_abs = base_time + min(max(tau, 0.0), f)
-                piece = int(np.searchsorted(breaks, t_abs, side="right")) - 1
-                piece = min(max(piece, 0), n_br - 2)
-                length = breaks[piece + 1] - breaks[piece]
-                theta = (t_abs - breaks[piece]) / length
-                out[j] = _hermite(
-                    zs[piece], right_slope[piece], zs[piece + 1], left_slope[piece], length, theta
-                )
-            else:
-                out[j] = _nodes_eval(hist, (tau + 1.0) * M)
-        head = zs[-1]
-
-    if is_lp:
-        return LpSegment(grid, head[:, 0], out[:, :, 0], u.p)
-    return ContinuousSegment(grid, out[:, :, 0])
+        out = _span_block(driver, base_time, kind, u.coords(), u.grid, f)
+    if lp:
+        return LpSegment.from_coords(u.grid, out, u.dimension, u.p)
+    return ContinuousSegment.from_coords(u.grid, out, u.dimension)
 
 
 def propagate(driver: Driver, base_time: float, u, t: float):
     """Semiflow: the segment at time base_time + t, same fiber as the input.
 
-    Fractional times take one partial step first, then unit steps, so integer
-    times compose unit steps exactly.
+    The fractional part of t is one block step over that fraction, taken
+    first; whole spans follow as unit steps, so integer times compose unit
+    steps exactly.  The window [base_time, base_time + t] is checked once,
+    before any step.
     """
     if t < 0:
         raise ValueError(f"propagation time must be >= 0, got {t}")
+    driver._check_inside(base_time)
+    driver._check_inside(base_time + t)
     frac = t - math.floor(t)
     if frac < _TIME_EPS or frac > 1.0 - _TIME_EPS:
         frac = 0.0
@@ -327,7 +249,7 @@ def propagate(driver: Driver, base_time: float, u, t: float):
     cur = u
     pos = base_time
     if frac > 0.0:
-        cur = _partial_step(driver, pos, cur, frac)
+        cur = _segment_step(driver, pos, cur, frac)
         pos += frac
     step = unit_step_l if isinstance(u, LpSegment) else unit_step_c
     for _ in range(steps):
@@ -339,16 +261,14 @@ def propagate(driver: Driver, base_time: float, u, t: float):
 def evolve_l_to_c(driver: Driver, base_time: float, u: LpSegment, t: float) -> ContinuousSegment:
     """Pair-fiber data evolved for t >= 1, returned as a continuous segment.
 
-    One delay span smooths the state, after which the trajectory segment is
-    continuous; later times ride the continuous-fiber semiflow.
+    One delay span smooths the state into the embedded range, where the
+    embedding intertwines the two fibers' steps exactly; the result is the
+    density of the pair-fiber semiflow from there.
     """
     if t < 1.0 - _TIME_EPS:
         raise ValueError(f"continuous output needs t >= 1, got {t}")
     first = unit_step_l(driver, base_time, u)
-    w = ContinuousSegment(u.grid, first.density.copy())
-    if abs(t - 1.0) < _TIME_EPS:
-        return w
-    return propagate(driver, base_time + 1.0, w, t - 1.0)
+    return ContinuousSegment(u.grid, propagate(driver, base_time + 1.0, first, t - 1.0).density)
 
 
 def unit_step_block(
@@ -359,7 +279,18 @@ def unit_step_block(
     grid: GridSpec,
 ) -> np.ndarray:
     """Unit step applied to a block of fiber coordinate vectors (columns of X)."""
-    N = driver.dimension
+    return _span_block(driver, base_time, fiber_kind, X, grid, 1.0)
+
+
+def _span_block(driver, base_time, fiber_kind, X, grid, f):
+    """Step over the span 0 < f <= 1 applied to the columns of X.
+
+    Output node j sits at history index xi_j = j + f M.  Nodes with xi_j >= M
+    are RK4 solution values at base_time + (xi_j - M) h, integrated from the
+    base time; the others are read from the input history, exactly when f M
+    is an integer.  The lp head is the last solution value.
+    """
+    N, M, h = driver.dimension, grid.M, grid.h
     d = fiber_dim(grid, N, fiber_kind)
     X = np.asarray(X, dtype=float)
     squeeze = X.ndim == 1
@@ -369,14 +300,27 @@ def unit_step_block(
         raise ValueError(f"coordinate rows {X.shape[0]} != fiber dimension {d}")
     K = X.shape[1]
     if fiber_kind == "continuous":
-        hist = X.reshape(grid.M + 1, N, K)
+        hist = X.reshape(M + 1, N, K)
         z0 = hist[-1]
     else:
         z0 = X[:N]
-        hist = X[N:].reshape(grid.M + 1, N, K)
-    h = grid.h
-    times = [base_time + j * h for j in range(grid.M + 1)]
-    out = _integrate(driver, times, z0, _history_forcing(hist, base_time))
+        hist = X[N:].reshape(M + 1, N, K)
+    shift = f * M
+    first = M - int(math.floor(shift))  # first node with xi_j >= M
+    lag = shift - M
+    times = [base_time + (j + lag) * h for j in range(first, M + 1)]
+    lead = times[0] > base_time
+    if lead:
+        times.insert(0, base_time)
+
+    def forcing(t):  # the delayed term, read from the history on [base_time - 1, base_time]
+        return _nodes_eval(hist, (t - base_time) * M)
+
+    out = _integrate(driver, times, z0, forcing)
+    if lead:
+        out = out[1:]
+    if first:
+        out = np.concatenate([[_nodes_eval(hist, j + shift) for j in range(first)], out])
     flat = out.reshape(-1, K)
     result = flat if fiber_kind == "continuous" else np.vstack([out[-1], flat])
     return result[:, 0] if squeeze else result

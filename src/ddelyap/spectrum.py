@@ -303,6 +303,8 @@ def _filtration_frames(cache: _OperatorCache, t0: int, steps: int, dims: list[in
     range.  F_i is the orthogonal complement of the leading D_i directions;
     the per-column log rates come back as a convergence diagnostic.
     """
+    cache.driver._check_inside(t0)
+    cache.driver._check_inside(t0 + steps)
     D = dims[-1]
     d = cache.op(t0).shape[0]
     G = orthonormalize(_stream(seed, 31).standard_normal((d, D))).vectors

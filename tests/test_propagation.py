@@ -249,6 +249,47 @@ class TestPropagate:
         y = propagate(qp_driver, 2.0 + t1, propagate(qp_driver, 2.0, u, t1), t2)
         assert np.max(np.abs(x.values - y.values)) <= 1e-6
 
+    def test_fractional_step_checks_window(self, telegraph_driver):
+        g = GridSpec(8)
+        u = ContinuousSegment(g, np.ones((9, 2)))
+        with pytest.raises(ValueError, match="outside realized window"):
+            propagate(telegraph_driver, 24.8, u, 0.7)
+
+    def test_fractional_step_checks_dimension(self, telegraph_driver):
+        g = GridSpec(8)
+        u = ContinuousSegment(g, np.ones((9, 3)))
+        with pytest.raises(ValueError, match="segment dimension 3"):
+            propagate(telegraph_driver, 0.0, u, 0.5)
+
+    def test_lp_base_time_node_continuous_in_f(self, qp_driver):
+        g = GridSpec(16)
+        u = random_smooth_segment(g, 2, np.random.default_rng(15), "lp")
+        assert np.max(np.abs(u.head - u.density[-1])) > 0.1
+        a = propagate(qp_driver, 0.0, u, 0.5)
+        b = propagate(qp_driver, 0.0, u, 0.5 + 1e-9)
+        # node 8 sits at the base time, where the solution starts from the head
+        assert np.array_equal(a.density[8], u.head)
+        assert np.max(np.abs(a.density[8] - b.density[8])) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["continuous", "lp"])
+    @pytest.mark.parametrize("t", [77 / 512, 331 / 512])
+    def test_fractional_step_matches_fine_grid(self, qp_driver, kind, t):
+        # cubic data is read exactly from the nodes on both grids; t is off
+        # the coarse grid and on the fine one
+        rng = np.random.default_rng(16)
+        coeffs = rng.normal(size=(4, 2))
+        head = rng.normal(size=2)
+        out = []
+        for M in (64, 512):
+            g = GridSpec(M)
+            vals = np.polynomial.polynomial.polyval(g.nodes, coeffs).T
+            u = ContinuousSegment(g, vals) if kind == "continuous" else LpSegment(g, head, vals)
+            w = propagate(qp_driver, 1.3, u, t)
+            out.append(w.values if kind == "continuous" else np.vstack([w.head, w.density]))
+        coarse, fine = out
+        fine = fine[::8] if kind == "continuous" else np.vstack([fine[:1], fine[1::8]])
+        assert np.max(np.abs(coarse - fine)) <= 1e-6 * np.max(np.abs(fine))
+
     def test_negative_time_rejected(self, telegraph_driver):
         g = GridSpec(8)
         u = ContinuousSegment(g, np.zeros((9, 2)))

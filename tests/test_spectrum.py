@@ -393,12 +393,20 @@ class TestTemperedAndBounds:
 
     def test_constant_coefficient_slopes(self):
         cfg = SpectrumConfig(k=2, horizon=200, transient=30, push_steps=40, filtration_steps=30)
-        drv = make_driver("delay_identity", config=cfg)
+        drv = make_driver("delay_identity", window=(-42.0, 232.0))
         g = GridSpec(32)
         rep = oseledets_frames(drv, "continuous", g, cfg)
         out = temperedness_check(rep, drv, 200, n_samples=11)
         for slope in out["slopes"].values():
             assert abs(slope) <= 1e-2
+
+    def test_filtration_past_window_raises(self):
+        cfg = SpectrumConfig(k=1, horizon=20, transient=5, push_steps=10, filtration_steps=8)
+        drv = make_driver("delay_identity", config=cfg)  # realized on (-12, 22)
+        rep = oseledets_frames(drv, "continuous", GridSpec(16), cfg)
+        # the filtration at t = 20 reaches t = 28
+        with pytest.raises(ValueError, match="outside realized window"):
+            temperedness_check(rep, drv, 20, n_samples=2)
 
     def test_bound_slopes_constant_zero(self):
         drv = make_driver("delay_identity", window=(-42.0, 42.0))
