@@ -185,6 +185,11 @@ class Driver:
             raise ValueError(f"time {t} outside realized window {self.window}")
 
     def matrices(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        A, B = self.matrices_at(np.array([t], dtype=float))
+        return A[0], B[0]
+
+    def matrices_at(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A and B at every time of the 1-D array ts, each stacked to shape (len(ts), N, N)."""
         raise NotImplementedError
 
     def coefficients(self, t: float) -> CoefficientSample:
@@ -220,8 +225,8 @@ class _ShiftedDriver(Driver):
     def a_bound(self):
         return self._base.a_bound
 
-    def matrices(self, t):
-        return self._base.matrices(t + self._s)
+    def matrices_at(self, ts):
+        return self._base.matrices_at(ts + self._s)
 
     def switch_times_in(self, t0, t1):
         return self._base.switch_times_in(t0 + self._s, t1 + self._s) - self._s
@@ -242,8 +247,9 @@ class ConstantDriver(Driver):
         self._B = _as_matrix(spec.params["B0"], spec.dimension, "B0")
         self.a_bound = spectral_norm(self._A)
 
-    def matrices(self, t):
-        return self._A, self._B
+    def matrices_at(self, ts):
+        shape = (len(ts),) + self._A.shape
+        return np.broadcast_to(self._A, shape), np.broadcast_to(self._B, shape)
 
     def a_integral(self, t0, t1):
         return self.a_bound * (t1 - t0)
@@ -259,25 +265,21 @@ class QuasiPeriodicDriver(Driver):
         self._freqs = np.asarray(prm["freqs"], dtype=float)
         self._a0 = np.asarray(prm["a0"], dtype=float)
         self._b0 = np.asarray(prm["b0"], dtype=float)
-        self._ac = np.asarray(prm["a_cos"], dtype=float)
-        self._as = np.asarray(prm["a_sin"], dtype=float)
-        self._bc = np.asarray(prm["b_cos"], dtype=float)
-        self._bs = np.asarray(prm["b_sin"], dtype=float)
-        self.a_bound = spectral_norm(self._a0) + sum(
-            spectral_norm(c) + spectral_norm(s) for c, s in zip(self._ac, self._as)
-        )
+        a_trig = np.concatenate([prm["a_cos"], prm["a_sin"]]).astype(float)
+        b_trig = np.concatenate([prm["b_cos"], prm["b_sin"]]).astype(float)
+        # (2F, 2, N, N): cos then sin rows, A then B coefficients
+        self._trig = np.stack([a_trig, b_trig], axis=1)
+        self.a_bound = spectral_norm(self._a0) + sum(spectral_norm(m) for m in a_trig)
 
-    def matrices(self, t):
-        c = np.cos(self._freqs * t)
-        s = np.sin(self._freqs * t)
-        A = self._a0 + np.tensordot(c, self._ac, axes=1) + np.tensordot(s, self._as, axes=1)
-        B = self._b0 + np.tensordot(c, self._bc, axes=1) + np.tensordot(s, self._bs, axes=1)
-        return A, B
+    def matrices_at(self, ts):
+        wt = np.multiply.outer(ts, self._freqs)
+        AB = np.tensordot(np.concatenate([np.cos(wt), np.sin(wt)], axis=1), self._trig, axes=1)
+        return self._a0 + AB[:, 0], self._b0 + AB[:, 1]
 
     def a_integral(self, t0, t1, resolution: int = 256):
         n = max(4, int(np.ceil((t1 - t0) * resolution)))
         ts = np.linspace(t0, t1, n + 1)
-        vals = np.array([spectral_norm(self.matrices(t)[0]) for t in ts])
+        vals = np.linalg.norm(self.matrices_at(ts)[0], ord=2, axis=(1, 2))
         return float(np.trapezoid(vals, ts))
 
 
@@ -296,10 +298,10 @@ class TelegraphDriver(Driver):
     def __init__(self, spec, window):
         super().__init__(spec, window)
         prm = spec.params
-        self._A_states = [np.asarray(A, dtype=float) for A, _ in prm["states"]]
-        self._B_states = [np.asarray(B, dtype=float) for _, B in prm["states"]]
+        self._A_states = np.array([A for A, _ in prm["states"]], dtype=float)
+        self._B_states = np.array([B for _, B in prm["states"]], dtype=float)
         self._G = np.asarray(prm["generator"], dtype=float)
-        self._a_states = np.array([spectral_norm(A) for A in self._A_states])
+        self._a_states = np.linalg.norm(self._A_states, ord=2, axis=(1, 2))
         self.a_bound = float(self._a_states.max())
         self._pi = stationary_distribution(self._G)
         self._draw_path()
@@ -359,8 +361,8 @@ class TelegraphDriver(Driver):
         idx = int(np.searchsorted(self.switch_times, t, side="right"))
         return int(self.states[idx])
 
-    def matrices(self, t):
-        j = self.state_at(t)
+    def matrices_at(self, ts):
+        j = self.states[np.searchsorted(self.switch_times, ts, side="right")]
         return self._A_states[j], self._B_states[j]
 
     def switch_times_in(self, t0, t1):
@@ -406,26 +408,17 @@ def summability_report(driver: Driver, horizon: float, resolution: int = 128) ->
     q = driver.spec.q
 
     n = int(np.ceil(horizon * resolution))
-    ts = np.linspace(0.0, horizon, n + 1)
-    a_vals = np.empty(n + 1)
-    b_vals = np.empty(n + 1)
-    for i, t in enumerate(ts):
-        A, B = driver.matrices(t)
-        a_vals[i] = spectral_norm(A)
-        b_vals[i] = spectral_norm(B)
+    A, B = driver.matrices_at(np.linspace(0.0, horizon, n + 1))
     mean_a = driver.a_integral(0.0, horizon) / horizon
 
-    cells = int(np.floor(horizon))
-    lnplus_terms = []
-    per_unit = max(resolution, 8)
-    for r in range(max(cells, 1)):
-        t_cell = np.linspace(r, min(r + 1.0, horizon), per_unit + 1)
-        bq = np.array([spectral_norm(driver.matrices(t)[1]) ** q for t in t_cell])
-        integral = float(np.trapezoid(bq, t_cell))
-        lnplus_terms.append(max(np.log(integral), 0.0) if integral > 0 else 0.0)
+    starts = np.arange(max(int(np.floor(horizon)), 1), dtype=float)
+    t_cell = np.linspace(starts, np.minimum(starts + 1.0, horizon), max(resolution, 8) + 1, axis=1)
+    b_cell = driver.matrices_at(t_cell.ravel())[1]
+    bq = np.linalg.norm(b_cell, ord=2, axis=(1, 2)).reshape(t_cell.shape) ** q
+    integrals = np.trapezoid(bq, t_cell, axis=1)
     return {
         "mean_a": float(mean_a),
-        "mean_lnplus_int_bq": float(np.mean(lnplus_terms)),
-        "max_a": float(np.max(a_vals)),
-        "max_b": float(np.max(b_vals)),
+        "mean_lnplus_int_bq": float(np.mean(np.log(np.maximum(integrals, 1.0)))),
+        "max_a": float(np.max(np.linalg.norm(A, ord=2, axis=(1, 2)))),
+        "max_b": float(np.max(np.linalg.norm(B, ord=2, axis=(1, 2)))),
     }

@@ -6,22 +6,26 @@ known forcing read from the stored segment nodes, so the equation reduces to
 a linear ODE integrated with fixed-step classical Runge-Kutta straight onto
 the shifted output nodes; output nodes still inside the old segment are read
 from its nodes.  Stage values of the history between nodes come from local
-cubic interpolation; integration substeps are split at the switch times of
-piecewise-constant drivers so no step straddles a coefficient jump.  Both
-fibers share the one step, which makes the intertwining of the embedding
-with the unit steps exact at the discrete level, and makes integer-time
-cocycle composition exact by construction.
+cubic interpolation.  The integration pieces are the gaps between output
+nodes, split at the switch times of piecewise-constant drivers so no piece
+straddles a coefficient jump.  Since the ODE is linear, each RK4 piece is an
+affine map z -> R_p z + c_p: the R_p and the delay-forcing gains of all
+pieces come from one batched RK4 pass over coefficients sampled at once, the
+c_p from the interpolation stencil applied to the stored history, and one
+loop chains the maps onto the output nodes.  Both fibers share the one step,
+which makes the intertwining of the embedding with the unit steps exact at
+the discrete level, and makes integer-time cocycle composition exact by
+construction.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Driver, spectral_norm
+from .drivers import Driver
 from .fibers import ContinuousSegment, GridSpec, LpSegment, fiber_dim, trapezoid_weights
 
 __all__ = [
@@ -39,9 +43,10 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-12
+_BLOCK_FLOATS = 12288  # 96 KiB of doubles, the cap on each stage-forcing temporary
 
 
-def _cubic_weights(t: float) -> tuple[float, float, float, float]:
+def _cubic_weights(t):
     # Lagrange weights on 4 consecutive integer abscissae, local coordinate t in [0, 3]
     return (
         -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
@@ -51,84 +56,99 @@ def _cubic_weights(t: float) -> tuple[float, float, float, float]:
     )
 
 
-def _nodes_eval(values: np.ndarray, xi: float) -> np.ndarray:
-    """Evaluate nodal data at fractional index xi by local cubic interpolation.
+def _nodes_eval(values: np.ndarray, xi) -> np.ndarray:
+    """Evaluate nodal data at fractional indices xi by local cubic interpolation.
 
-    `values` has node-major shape (n_nodes, ...); xi = 0 .. n_nodes - 1.
-    Exact whenever xi is an integer.
+    `values` has node-major shape (n_nodes, ...); xi = 0 .. n_nodes - 1 is a
+    scalar or an array, whose shape then leads the result's.  Exact whenever
+    xi is an integer.
     """
     last = values.shape[0] - 1
-    xi = min(max(xi, 0.0), float(last))
-    i = int(math.floor(xi))
-    if float(i) == xi:
-        return values[i]
-    i0 = min(max(i - 1, 0), last - 3)
-    w = _cubic_weights(xi - i0)
-    return w[0] * values[i0] + w[1] * values[i0 + 1] + w[2] * values[i0 + 2] + w[3] * values[i0 + 3]
+    xi = np.clip(xi, 0.0, float(last))
+    i0 = np.clip(np.floor(xi).astype(int) - 1, 0, last - 3)
+    pad = (...,) + (None,) * (values.ndim - 1)
+    return sum(w[pad] * values[i0 + j] for j, w in enumerate(_cubic_weights(xi - i0)))
 
 
-def _rk4_piece(driver, a, b, z, forcing, stage_times_constant):
-    """One RK4 step of z' = A(t) z + g(t) over [a, b] with no coefficient jump inside."""
-    delta = b - a
-    mid = 0.5 * (a + b)
-    if stage_times_constant:
-        A_a, B_a = driver.matrices(mid)
-        A_m, B_m, A_b, B_b = A_a, B_a, A_a, B_a
-    else:
-        A_a, B_a = driver.matrices(a)
-        A_m, B_m = driver.matrices(mid)
-        A_b, B_b = driver.matrices(b)
-    if forcing is None:
-        k1 = A_a @ z
-        k2 = A_m @ (z + 0.5 * delta * k1)
-        k3 = A_m @ (z + 0.5 * delta * k2)
-        k4 = A_b @ (z + delta * k3)
-    else:
-        g_a = B_a @ forcing(a)
-        g_m = B_m @ forcing(mid)
-        g_b = B_b @ forcing(b)
-        k1 = A_a @ z + g_a
-        k2 = A_m @ (z + 0.5 * delta * k1) + g_m
-        k3 = A_m @ (z + 0.5 * delta * k2) + g_m
-        k4 = A_b @ (z + delta * k3) + g_b
+def _rk4(A_a, A_m, A_b, delta, z, g_a=0.0, g_m=0.0, g_b=0.0):
+    """One classical RK4 step of z' = A(t) z + g(t), batched over leading axes."""
+    k1 = A_a @ z + g_a
+    k2 = A_m @ (z + 0.5 * delta * k1) + g_m
+    k3 = A_m @ (z + 0.5 * delta * k2) + g_m
+    k4 = A_b @ (z + delta * k3) + g_b
     return z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_span(driver, a, b, z, forcing):
-    """Integrate over [a, b], splitting at driver switch times."""
-    cuts = driver.switch_times_in(a + _TIME_EPS, b - _TIME_EPS)
-    piecewise = driver.piecewise_constant
-    if cuts.size == 0:
-        return _rk4_piece(driver, a, b, z, forcing, piecewise)
-    times = np.concatenate([[a], cuts, [b]])
-    for lo, hi in zip(times[:-1], times[1:]):
-        if hi - lo < _TIME_EPS:
-            continue
-        z = _rk4_piece(driver, lo, hi, z, forcing, piecewise)
-    return z
+def _integrate(driver, times, z0: np.ndarray, forcing=None) -> np.ndarray:
+    """Solution of z' = A(t) z + B(t) y(t) at every breakpoint of `times`; row 0 is z0.
 
-
-def _integrate(driver, times, z0: np.ndarray, forcing) -> np.ndarray:
-    """Solution of z' = A(t) z + g(t) at every breakpoint of `times`; row 0 is z0.
-
-    One RK4 span per gap.  Breakpoints are Python floats, which keeps the
-    per-piece scalar arithmetic cheap.  Raises ValueError when the largest
-    gap times the driver's bound on |A(t)| exceeds 2, where fixed-step RK4
-    leaves its stability region and returns confident wrong rates.
+    `forcing` maps an array of times to the stacked delayed values y(t),
+    shaped like z0; None means no delayed term.  The gaps between breakpoints
+    are split at the driver's switch times, dropping cuts within _TIME_EPS of
+    a breakpoint and skipping split pieces shorter than that.  On each piece
+    p one RK4 step is an affine map z -> R_p z + c_p: R_p is RK4 applied to
+    the identity, and c_p = [C_a B_a | C_m B_m | C_b B_b] [y_a; y_m; y_b] over
+    the piece's stage times, the gains coming from the same batched RK4 pass.
+    The c_p are built in blocks small enough that no temporary reaches
+    glibc's 128 KiB mmap threshold; one loop then chains the maps.  Raises
+    ValueError when the largest gap times the driver's bound on |A(t)|
+    exceeds 2, where fixed-step RK4 leaves its stability region and returns
+    confident wrong rates.
     """
-    h = max(map(operator.sub, times[1:], times[:-1]))
+    times = np.asarray(times, dtype=float)
+    h = float(np.max(np.diff(times)))
     if h * driver.a_bound > 2.0:
         raise ValueError(
             f"RK4 step {h:.4g} times the bound {driver.a_bound:.4g} on |A(t)| is "
             f"{h * driver.a_bound:.3g} > 2, outside the stability region; "
             f"raise grid.M to at least {math.ceil(driver.a_bound / 2.0)}"
         )
+    cuts = driver.switch_times_in(times[0] + _TIME_EPS, times[-1] - _TIME_EPS)
+    at = np.searchsorted(times, cuts)
+    inner = (cuts > times[at - 1] + _TIME_EPS) & (cuts < times[at] - _TIME_EPS)
+    edges = np.insert(times, at[inner], cuts[inner])
+    rows = np.insert(np.arange(len(times)), at[inner], -1)[1:]  # breakpoint each piece ends on
+    lo, hi = edges[:-1], edges[1:]
+    live = (hi - lo >= _TIME_EPS) | (rows >= 0)
+    lo, hi, rows = lo[live], hi[live], rows[live].tolist()
+    mid = 0.5 * (lo + hi)
+    delta = (hi - lo)[:, None, None]
+    if driver.piecewise_constant:
+        A_m, B_m = driver.matrices_at(mid)
+        A_a = A_b = A_m
+        B_a = B_b = B_m
+    else:
+        A, B = driver.matrices_at(np.concatenate([lo, mid, hi]))
+        (A_a, A_m, A_b), (B_a, B_m, B_b) = np.split(A, 3), np.split(B, 3)
+
+    N = z0.shape[0]
+    if forcing is None:
+        R = _rk4(A_a, A_m, A_b, delta, np.eye(N))
+        c = np.zeros(len(lo))
+        block = len(lo)
+    else:
+        O = np.zeros(B_m.shape)
+        T = _rk4(
+            A_a, A_m, A_b, delta,
+            np.concatenate([np.broadcast_to(np.eye(N), O.shape), O, O, O], axis=2),
+            np.concatenate([O, B_a, O, O], axis=2),
+            np.concatenate([O, O, B_m, O], axis=2),
+            np.concatenate([O, O, O, B_b], axis=2),
+        )
+        R, gains = T[:, :, :N], T[:, :, N:]
+        stage_times = np.stack([lo, mid, hi], axis=1)
+        block = max(1, _BLOCK_FLOATS // (3 * z0.size))
+
     out = np.empty((len(times),) + z0.shape)
-    out[0] = z0
-    z = z0
-    for j in range(len(times) - 1):
-        z = _rk4_span(driver, times[j], times[j + 1], z, forcing)
-        out[j + 1] = z
+    out[0] = z = z0
+    for s in range(0, len(lo), block):
+        if forcing is not None:
+            y = forcing(stage_times[s : s + block].ravel())
+            c = gains[s : s + block] @ y.reshape((-1, 3 * N) + z0.shape[1:])
+        for R_p, c_p, row in zip(R[s : s + block], c, rows[s : s + block]):
+            z = R_p @ z + c_p
+            if row >= 0:
+                out[row] = z
     return out
 
 
@@ -154,7 +174,7 @@ def fundamental_matrix(driver: Driver, t1: float, t2: float, substeps: int | Non
     if t2 > t1:
         n = substeps if substeps is not None else max(1, int(math.ceil((t2 - t1) * 64 - _TIME_EPS)))
         h = (t2 - t1) / n
-        Z = _integrate(driver, [t1 + j * h for j in range(n + 1)], Z, None)[-1]
+        Z = _integrate(driver, t1 + np.arange(n + 1) * h, Z)[-1]
     return FundamentalMatrix(t1, t2, Z)
 
 
@@ -179,8 +199,8 @@ def step_bounds(driver: Driver, base_time: float, grid: GridSpec) -> StepBounds:
     M, h = grid.M, grid.h
 
     # one integration pass gives all grid-time fundamental matrices
-    times = [base_time + j * h for j in range(M + 1)]
-    phis = _integrate(driver, times, np.eye(driver.dimension), None)
+    times = base_time + np.arange(M + 1) * h
+    phis = _integrate(driver, times, np.eye(driver.dimension))
     inv_phis = np.linalg.inv(phis)
     lo, hi = np.triu_indices(M + 1, k=1)
     pair_mats = phis[hi] @ inv_phis[lo]  # flow over [t_lo, t_hi] by composition
@@ -188,9 +208,7 @@ def step_bounds(driver: Driver, base_time: float, grid: GridSpec) -> StepBounds:
     c = max(1.0, float(np.max(norms)))
 
     q = driver.spec.q
-    bq = np.array(
-        [spectral_norm(driver.matrices(base_time + j * h)[1]) ** q for j in range(M + 1)]
-    )
+    bq = np.linalg.norm(driver.matrices_at(times)[1], ord=2, axis=(1, 2)) ** q
     d = float(np.dot(trapezoid_weights(grid), bq) ** (1.0 / q))
     c_upper = float(np.exp(driver.a_integral(base_time, base_time + 1.0)))
     return StepBounds(c=c, d=d, c_upper=c_upper)
@@ -233,10 +251,12 @@ def _segment_step(driver, base_time, u, f):
 def propagate(driver: Driver, base_time: float, u, t: float):
     """Semiflow: the segment at time base_time + t, same fiber as the input.
 
-    The fractional part of t is one block step over that fraction, taken
-    first; whole spans follow as unit steps, so integer times compose unit
-    steps exactly.  The window [base_time, base_time + t] is checked once,
-    before any step.
+    The fractional part of t is one block step over that fraction; whole
+    spans are unit steps, so integer times compose unit steps exactly.  The
+    fraction goes first, except that pair-fiber input with t > 1 takes one
+    whole span before it: that span smooths the jump between head and
+    density, which later steps would otherwise re-interpolate between nodes.
+    The window [base_time, base_time + t] is checked once, before any step.
     """
     if t < 0:
         raise ValueError(f"propagation time must be >= 0, got {t}")
@@ -248,6 +268,10 @@ def propagate(driver: Driver, base_time: float, u, t: float):
     steps = int(round(t - frac))
     cur = u
     pos = base_time
+    if frac > 0.0 and steps > 0 and isinstance(u, LpSegment):
+        cur = unit_step_l(driver, pos, cur)
+        pos += 1.0
+        steps -= 1
     if frac > 0.0:
         cur = _segment_step(driver, pos, cur, frac)
         pos += frac
@@ -261,14 +285,13 @@ def propagate(driver: Driver, base_time: float, u, t: float):
 def evolve_l_to_c(driver: Driver, base_time: float, u: LpSegment, t: float) -> ContinuousSegment:
     """Pair-fiber data evolved for t >= 1, returned as a continuous segment.
 
-    One delay span smooths the state into the embedded range, where the
+    After one delay span the state lies in the embedded range, where the
     embedding intertwines the two fibers' steps exactly; the result is the
-    density of the pair-fiber semiflow from there.
+    density of the pair-fiber semiflow.
     """
     if t < 1.0 - _TIME_EPS:
         raise ValueError(f"continuous output needs t >= 1, got {t}")
-    first = unit_step_l(driver, base_time, u)
-    return ContinuousSegment(u.grid, propagate(driver, base_time + 1.0, first, t - 1.0).density)
+    return ContinuousSegment(u.grid, propagate(driver, base_time, u, t).density)
 
 
 def unit_step_block(
@@ -308,19 +331,19 @@ def _span_block(driver, base_time, fiber_kind, X, grid, f):
     shift = f * M
     first = M - int(math.floor(shift))  # first node with xi_j >= M
     lag = shift - M
-    times = [base_time + (j + lag) * h for j in range(first, M + 1)]
+    times = base_time + (np.arange(first, M + 1) + lag) * h
     lead = times[0] > base_time
     if lead:
-        times.insert(0, base_time)
+        times = np.insert(times, 0, base_time)
 
-    def forcing(t):  # the delayed term, read from the history on [base_time - 1, base_time]
-        return _nodes_eval(hist, (t - base_time) * M)
+    def forcing(ts):  # the delayed term, read from the history on [base_time - 1, base_time]
+        return _nodes_eval(hist, (ts - base_time) * M)
 
     out = _integrate(driver, times, z0, forcing)
     if lead:
         out = out[1:]
     if first:
-        out = np.concatenate([[_nodes_eval(hist, j + shift) for j in range(first)], out])
+        out = np.concatenate([_nodes_eval(hist, np.arange(first) + shift), out])
     flat = out.reshape(-1, K)
     result = flat if fiber_kind == "continuous" else np.vstack([out[-1], flat])
     return result[:, 0] if squeeze else result

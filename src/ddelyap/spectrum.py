@@ -142,18 +142,21 @@ class QRSpectrum:
     gap_tol: float
 
 
-def _push(driver, fiber_kind, grid, Q, t0, steps, every=1):
+def _push(driver, fiber_kind, grid, Q, t0, steps, stage, every=1):
     """Push a block through `steps` unit steps from time t0, QR every `every` steps.
 
     Yields (t, Q, R) after each QR, t being the time reached; R has a
     nonnegative diagonal.  A caller may overwrite columns of the yielded Q in
-    place to reseed the push.
+    place to reseed the push.  Raises ValueError naming `stage` and the time
+    when a unit step returns a non-finite block.
     """
     driver._check_inside(t0)
     driver._check_inside(t0 + steps)
     t = t0
     for step in range(steps):
         Q = unit_step_block(driver, t, fiber_kind, Q, grid)
+        if not np.all(np.isfinite(Q)):
+            raise ValueError(f"{stage}: the unit step from t = {t} gave a non-finite block")
         t += 1
         if (step + 1) % every == 0:
             Q, _, R = _signed_qr(Q)
@@ -238,7 +241,7 @@ def qr_spectrum(
     floor_inc = config.floor_rate * config.renorm_every
     records = []
     reseeds = 0
-    for _, Q, R in _push(driver, fiber_kind, grid, probe, 0.0, config.horizon, config.renorm_every):
+    for _, Q, R in _push(driver, fiber_kind, grid, probe, 0.0, config.horizon, "QR spectrum", config.renorm_every):
         with np.errstate(divide="ignore"):
             inc = np.log(np.diag(R))
         # a column at the floor is replaced by a fresh direction orthogonal to the rest
@@ -423,7 +426,7 @@ def oseledets_frames(
     d = push_probe.shape[0]
     Q_hist: dict[int, np.ndarray] = {}
     R_hist: dict[int, np.ndarray] = {}
-    for t, Q, R in _push(driver, fiber_kind, grid, push_probe, t0, max(sample_times) - t0):
+    for t, Q, R in _push(driver, fiber_kind, grid, push_probe, t0, max(sample_times) - t0, "frame push"):
         Q_hist[t], R_hist[t] = Q, R
 
     E_frames: dict[int, list[SubspaceFrame]] = {}
@@ -539,7 +542,7 @@ def vector_growth_rate(
     transient = max(1, horizon // 10) if transient is None else transient
     logs = [0.0]
     acc = 0.0
-    for t, _, R in _push(driver, fiber_kind, grid, (x / n0)[:, None], 0.0, horizon):
+    for t, _, R in _push(driver, fiber_kind, grid, (x / n0)[:, None], 0.0, horizon, "growth-rate push"):
         n = float(R[0, 0])
         if n == 0.0:
             return -np.inf, "-inf"
@@ -582,7 +585,9 @@ def temperedness_check(
     # one continuous push provides the fast sums at every sample time
     seed = driver.spec.seed if config.probe_seed is None else config.probe_seed
     probe = _seeded_block(driver, fiber_kind, grid, seed, 29, dims[-1])
-    pushed = _push(driver, fiber_kind, grid, probe, -config.push_steps, config.push_steps + horizon)
+    pushed = _push(
+        driver, fiber_kind, grid, probe, -config.push_steps, config.push_steps + horizon, "temperedness push"
+    )
     Q_at = {t: Q for t, Q, _ in pushed if t >= 0 and t in samples}
     norms = {i: [] for i in range(len(dims))}
     conditions = []

@@ -257,3 +257,39 @@ def test_a_bound_covers_every_driver_kind(telegraph_states):
             assert max(spectral_norm(d.matrices(t)[0]) for t in ts) <= d.a_bound + 1e-12
     assert realize(specs[0], (0.0, 1.0)).a_bound == pytest.approx(3.0)
     assert realize(specs[2], (0.0, 1.0)).a_bound == max(spectral_norm(A) for A, _ in telegraph_states)
+
+
+def test_matrices_at_stacks_matrices(telegraph_states):
+    rng = np.random.default_rng(6)
+    prm = {
+        "freqs": np.array([1.3, 2.9]),
+        "a0": rng.normal(size=(2, 2)),
+        "b0": rng.normal(size=(2, 2)),
+        "a_cos": rng.normal(size=(2, 2, 2)),
+        "a_sin": rng.normal(size=(2, 2, 2)),
+        "b_cos": rng.normal(size=(2, 2, 2)),
+        "b_sin": rng.normal(size=(2, 2, 2)),
+    }
+    qp = realize(DriverSpec("quasi_periodic", 2, prm), (-12.0, 12.0))
+    tel = realize(two_state_spec(telegraph_states, seed=4), (-12.0, 12.0))
+    const = realize(constant_spec(np.diag([-3.0, 1.0]), np.eye(2)), (-12.0, 12.0))
+    ts = np.concatenate([np.linspace(-10.0, 10.0, 301), tel.switch_times[np.abs(tel.switch_times) < 10.0]])
+    for d, rel in ((const, 0.0), (tel, 0.0), (tel.shifted(1.5), 0.0), (qp, 1e-15), (qp.shifted(-0.7), 1e-15)):
+        A, B = d.matrices_at(ts)
+        assert A.shape == B.shape == (len(ts), 2, 2)
+        A_t, B_t = (np.array(m) for m in zip(*(d.matrices(t) for t in ts)))
+        assert np.max(np.abs(A - A_t)) <= rel * np.max(np.abs(A_t))
+        assert np.max(np.abs(B - B_t)) <= rel * np.max(np.abs(B_t))
+    # telegraph samples are right-continuous at the switch times
+    j = tel.states[np.searchsorted(tel.switch_times, ts, side="right")]
+    assert np.array_equal(tel.matrices_at(ts)[0], np.array([telegraph_states[k][0] for k in j]))
+    # quasi-periodic samples against the trigonometric sum, term by term
+    A, B = qp.matrices_at(ts)
+    for name, got in (("a", A), ("b", B)):
+        want = np.array([
+            prm[f"{name}0"]
+            + sum(np.cos(w * t) * c + np.sin(w * t) * s
+                  for w, c, s in zip(prm["freqs"], prm[f"{name}_cos"], prm[f"{name}_sin"]))
+            for t in ts
+        ])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

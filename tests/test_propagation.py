@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ddelyap.fibers import (
     GridSpec,
     LpSegment,
     embed_segment,
+    fiber_dim,
     norm_c,
     norm_lp,
 )
@@ -65,6 +68,139 @@ def qp_driver():
         seed=5,
     )
     return realize(spec, (-6.0, 25.0))
+
+
+# Plain per-piece RK4 reference for the block step: one RK4 span per gap
+# between output breakpoints, split at switch times, scalar coefficient and
+# history samples at every stage time.
+
+
+def _ref_nodes_eval(values, xi):
+    last = values.shape[0] - 1
+    xi = min(max(xi, 0.0), float(last))
+    i = int(math.floor(xi))
+    if float(i) == xi:
+        return values[i]
+    i0 = min(max(i - 1, 0), last - 3)
+    t = xi - i0
+    w = (
+        -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
+        t * (t - 2.0) * (t - 3.0) / 2.0,
+        -t * (t - 1.0) * (t - 3.0) / 2.0,
+        t * (t - 1.0) * (t - 2.0) / 6.0,
+    )
+    return sum(w[j] * values[i0 + j] for j in range(4))
+
+
+def _ref_rk4_piece(driver, a, b, z, forcing):
+    delta, mid = b - a, 0.5 * (a + b)
+    if driver.piecewise_constant:
+        (A_a, B_a) = (A_m, B_m) = (A_b, B_b) = driver.matrices(mid)
+    else:
+        (A_a, B_a), (A_m, B_m), (A_b, B_b) = (driver.matrices(t) for t in (a, mid, b))
+    g_a, g_m, g_b = B_a @ forcing(a), B_m @ forcing(mid), B_b @ forcing(b)
+    k1 = A_a @ z + g_a
+    k2 = A_m @ (z + 0.5 * delta * k1) + g_m
+    k3 = A_m @ (z + 0.5 * delta * k2) + g_m
+    k4 = A_b @ (z + delta * k3) + g_b
+    return z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ref_rk4_span(driver, a, b, z, forcing):
+    eps = 1e-12
+    cuts = driver.switch_times_in(a + eps, b - eps)
+    if cuts.size == 0:
+        return _ref_rk4_piece(driver, a, b, z, forcing)
+    times = np.concatenate([[a], cuts, [b]])
+    for lo, hi in zip(times[:-1], times[1:]):
+        if hi - lo >= eps:
+            z = _ref_rk4_piece(driver, lo, hi, z, forcing)
+    return z
+
+
+def reference_span_block(driver, base_time, fiber_kind, X, grid, f):
+    N, M, h = driver.dimension, grid.M, grid.h
+    K = X.shape[1]
+    if fiber_kind == "continuous":
+        hist = X.reshape(M + 1, N, K)
+        z = hist[-1]
+    else:
+        z = X[:N]
+        hist = X[N:].reshape(M + 1, N, K)
+    shift = f * M
+    first = M - int(math.floor(shift))
+    times = [base_time + (j + shift - M) * h for j in range(first, M + 1)]
+    lead = times[0] > base_time
+    if lead:
+        times.insert(0, base_time)
+    out = [z]
+    for a, b in zip(times[:-1], times[1:]):
+        z = _ref_rk4_span(driver, a, b, z, lambda t: _ref_nodes_eval(hist, (t - base_time) * M))
+        out.append(z)
+    out = [_ref_nodes_eval(hist, j + shift) for j in range(first)] + out[1 if lead else 0 :]
+    flat = np.array(out).reshape(-1, K)
+    return flat if fiber_kind == "continuous" else np.vstack([out[-1], flat])
+
+
+def block_step(driver, base_time, fiber_kind, X, grid, f):
+    """The program's block step through public entry points: a unit step or a fractional propagate."""
+    if f == 1.0:
+        return unit_step_block(driver, base_time, fiber_kind, X, grid)
+    cls = ContinuousSegment if fiber_kind == "continuous" else LpSegment
+    cols = [
+        propagate(driver, base_time, cls.from_coords(grid, x, driver.dimension), f).coords()
+        for x in X.T
+    ]
+    return np.column_stack(cols)
+
+
+class TestAffineChainMatchesPiecewiseRK4:
+    @pytest.fixture
+    def drivers(self, telegraph_driver, qp_driver):
+        rng = np.random.default_rng(17)
+        return {
+            "constant": constant_driver(0.5 * rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))),
+            "quasi_periodic": qp_driver,
+            "telegraph": telegraph_driver,
+            "shifted": telegraph_driver.shifted(0.37),
+        }
+
+    @pytest.mark.parametrize("name", ["constant", "quasi_periodic", "telegraph", "shifted"])
+    @pytest.mark.parametrize("fiber_kind", ["continuous", "lp"])
+    @pytest.mark.parametrize("f", [1.0, 0.37])
+    def test_matches_reference(self, drivers, name, fiber_kind, f):
+        drv = drivers[name]
+        g = GridSpec(16)
+        X = np.random.default_rng(18).normal(size=(fiber_dim(g, 2, fiber_kind), 3))
+        for base in (1.3, 4.0):
+            ref = reference_span_block(drv, base, fiber_kind, X, g, f)
+            new = block_step(drv, base, fiber_kind, X, g, f)
+            assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["constant", "quasi_periodic", "telegraph", "shifted"])
+    def test_unforced_fundamental_matrix(self, drivers, name):
+        drv = drivers[name]
+        n, t1, t2 = 40, 1.3, 2.1
+        h = (t2 - t1) / n
+        Z = np.eye(2)
+        for j in range(n):
+            Z = _ref_rk4_span(drv, t1 + j * h, t1 + (j + 1) * h, Z, lambda t: np.zeros((2, 2)))
+        new = fundamental_matrix(drv, t1, t2, substeps=n).matrix
+        assert np.max(np.abs(new - Z)) <= 1e-12 * np.max(np.abs(Z))
+
+    @pytest.mark.parametrize("fiber_kind", ["continuous", "lp"])
+    @pytest.mark.parametrize("f", [1.0, 0.37])
+    def test_switch_next_to_a_node(self, telegraph_driver, fiber_kind, f):
+        # a switch 5e-14 before output node 10: the cut is dropped, not split off
+        g = GridSpec(16)
+        s = telegraph_driver.switch_times[telegraph_driver.switch_times > 2.0][0]
+        base = s - (10 + f * g.M - g.M) * g.h + 5e-14
+        node = base + (10 + f * g.M - g.M) * g.h
+        assert 0.0 < node - s < 1e-13
+        X = np.random.default_rng(19).normal(size=(fiber_dim(g, 2, fiber_kind), 3))
+        ref = reference_span_block(telegraph_driver, base, fiber_kind, X, g, f)
+        new = block_step(telegraph_driver, base, fiber_kind, X, g, f)
+        assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestFundamentalMatrix:
@@ -289,6 +425,22 @@ class TestPropagate:
         coarse, fine = out
         fine = fine[::8] if kind == "continuous" else np.vstack([fine[:1], fine[1::8]])
         assert np.max(np.abs(coarse - fine)) <= 1e-6 * np.max(np.abs(fine))
+
+    @pytest.mark.parametrize("t", [1 + 77 / 512, 1 + 331 / 512, 2 + 77 / 512])
+    def test_lp_whole_span_before_fraction(self, qp_driver, t):
+        # pair-fiber data past one span: the whole span smooths the head-density
+        # jump before the fraction, so the coarse grid keeps the integrator's order
+        rng = np.random.default_rng(16)
+        coeffs = rng.normal(size=(4, 2))
+        head = rng.normal(size=2)
+        out = []
+        for M in (64, 512):
+            g = GridSpec(M)
+            w = propagate(qp_driver, 1.3, LpSegment(g, head, np.polynomial.polynomial.polyval(g.nodes, coeffs).T), t)
+            out.append(np.vstack([w.head, w.density]))
+        coarse, fine = out
+        fine = np.vstack([fine[:1], fine[1::8]])
+        assert np.max(np.abs(coarse - fine)) <= 1e-5 * np.max(np.abs(fine))
 
     def test_negative_time_rejected(self, telegraph_driver):
         g = GridSpec(8)

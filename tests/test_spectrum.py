@@ -440,3 +440,12 @@ class TestCompare:
         assert abs(rc.exponents[0] - rl.exponents[0]) <= 1e-4
         cmp = compare_fibers(rc, rl, g, 2)
         assert cmp.all_pass
+
+
+def test_push_rejects_non_finite_blocks():
+    # B = 1e308 I overflows within one unit step; the QR run must not turn the
+    # infinities into a floor-flagged exponent
+    spec = DriverSpec("constant", 2, {"A0": np.zeros((2, 2)), "B0": 1e308 * np.eye(2)})
+    drv = realize(spec, (-5.0, 50.0))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"QR spectrum: the unit step from t = 0\.0 gave a non-finite block"):
+        qr_spectrum(drv, "continuous", GridSpec(8), SpectrumConfig(k=1, horizon=40))
