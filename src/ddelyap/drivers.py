@@ -33,8 +33,24 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed & _SEED_MASK, tag])))
 
 
+def spectral_norms(P: np.ndarray) -> np.ndarray:
+    """Largest singular values of a stack of N x N matrices, shape (..., N, N) -> (...).
+
+    For N = 2, with P = [[a, b], [c, d]], the singular values satisfy
+    s1 + s2 = |(a + d, c - b)| and s1 - s2 = |(a - d, b + c)|, so s1 is half
+    the sum of two hypotenuses: both are nonnegative, so nothing cancels, and
+    hypot does not square its arguments, so 1e+-150 scales neither overflow
+    nor underflow.  Other N go through an SVD.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.shape[-2:] != (2, 2):
+        return np.linalg.norm(P, ord=2, axis=(-2, -1))
+    a, b, c, d = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
+    return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+
+
 def spectral_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A, 2))
+    return float(spectral_norms(A))
 
 
 @dataclass(frozen=True)
@@ -279,7 +295,7 @@ class QuasiPeriodicDriver(Driver):
     def a_integral(self, t0, t1, resolution: int = 256):
         n = max(4, int(np.ceil((t1 - t0) * resolution)))
         ts = np.linspace(t0, t1, n + 1)
-        vals = np.linalg.norm(self.matrices_at(ts)[0], ord=2, axis=(1, 2))
+        vals = spectral_norms(self.matrices_at(ts)[0])
         return float(np.trapezoid(vals, ts))
 
 
@@ -301,7 +317,7 @@ class TelegraphDriver(Driver):
         self._A_states = np.array([A for A, _ in prm["states"]], dtype=float)
         self._B_states = np.array([B for _, B in prm["states"]], dtype=float)
         self._G = np.asarray(prm["generator"], dtype=float)
-        self._a_states = np.linalg.norm(self._A_states, ord=2, axis=(1, 2))
+        self._a_states = spectral_norms(self._A_states)
         self.a_bound = float(self._a_states.max())
         self._pi = stationary_distribution(self._G)
         self._draw_path()
@@ -414,11 +430,11 @@ def summability_report(driver: Driver, horizon: float, resolution: int = 128) ->
     starts = np.arange(max(int(np.floor(horizon)), 1), dtype=float)
     t_cell = np.linspace(starts, np.minimum(starts + 1.0, horizon), max(resolution, 8) + 1, axis=1)
     b_cell = driver.matrices_at(t_cell.ravel())[1]
-    bq = np.linalg.norm(b_cell, ord=2, axis=(1, 2)).reshape(t_cell.shape) ** q
+    bq = spectral_norms(b_cell).reshape(t_cell.shape) ** q
     integrals = np.trapezoid(bq, t_cell, axis=1)
     return {
         "mean_a": float(mean_a),
         "mean_lnplus_int_bq": float(np.mean(np.log(np.maximum(integrals, 1.0)))),
-        "max_a": float(np.max(np.linalg.norm(A, ord=2, axis=(1, 2)))),
-        "max_b": float(np.max(np.linalg.norm(B, ord=2, axis=(1, 2)))),
+        "max_a": float(np.max(spectral_norms(A))),
+        "max_b": float(np.max(spectral_norms(B))),
     }

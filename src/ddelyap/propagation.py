@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Driver
+from .drivers import Driver, spectral_norms
 from .fibers import ContinuousSegment, GridSpec, LpSegment, fiber_dim, trapezoid_weights
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "UnitStepOperator",
     "fundamental_matrix",
     "step_bounds",
+    "orbit_step_bounds",
     "unit_step_c",
     "unit_step_l",
     "unit_step_block",
@@ -79,23 +80,19 @@ def _rk4(A_a, A_m, A_b, delta, z, g_a=0.0, g_m=0.0, g_b=0.0):
     return z + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate(driver, times, z0: np.ndarray, forcing=None) -> np.ndarray:
-    """Solution of z' = A(t) z + B(t) y(t) at every breakpoint of `times`; row 0 is z0.
+def _pieces(driver, times):
+    """Integration pieces over the breakpoints `times`: their ends and the breakpoint each ends on.
 
-    `forcing` maps an array of times to the stacked delayed values y(t),
-    shaped like z0; None means no delayed term.  The gaps between breakpoints
-    are split at the driver's switch times, dropping cuts within _TIME_EPS of
-    a breakpoint and skipping split pieces shorter than that.  On each piece
-    p one RK4 step is an affine map z -> R_p z + c_p: R_p is RK4 applied to
-    the identity, and c_p = [C_a B_a | C_m B_m | C_b B_b] [y_a; y_m; y_b] over
-    the piece's stage times, the gains coming from the same batched RK4 pass.
-    The c_p are built in blocks small enough that no temporary reaches
-    glibc's 128 KiB mmap threshold; one loop then chains the maps.  Raises
-    ValueError when the largest gap times the driver's bound on |A(t)|
-    exceeds 2, where fixed-step RK4 leaves its stability region and returns
-    confident wrong rates.
+    A 2-D `times` holds one span per row, the rows laid end to end in time;
+    the pieces then run over the flattened breakpoints, including the joins
+    between spans, which the caller drops.  The gaps between breakpoints are
+    split at the driver's switch times, from one `switch_times_in` call,
+    dropping cuts within _TIME_EPS of a breakpoint and skipping split pieces
+    shorter than that; `rows` is -1 for a piece that ends on a cut.  Raises
+    ValueError when the largest gap within a span times the driver's bound
+    on |A(t)| exceeds 2, where fixed-step RK4 leaves its stability region
+    and returns confident wrong rates.
     """
-    times = np.asarray(times, dtype=float)
     h = float(np.max(np.diff(times)))
     if h * driver.a_bound > 2.0:
         raise ValueError(
@@ -103,53 +100,100 @@ def _integrate(driver, times, z0: np.ndarray, forcing=None) -> np.ndarray:
             f"{h * driver.a_bound:.3g} > 2, outside the stability region; "
             f"raise grid.M to at least {math.ceil(driver.a_bound / 2.0)}"
         )
+    times = times.ravel()
     cuts = driver.switch_times_in(times[0] + _TIME_EPS, times[-1] - _TIME_EPS)
     at = np.searchsorted(times, cuts)
     inner = (cuts > times[at - 1] + _TIME_EPS) & (cuts < times[at] - _TIME_EPS)
     edges = np.insert(times, at[inner], cuts[inner])
-    rows = np.insert(np.arange(len(times)), at[inner], -1)[1:]  # breakpoint each piece ends on
+    rows = np.insert(np.arange(len(times)), at[inner], -1)[1:]
     lo, hi = edges[:-1], edges[1:]
     live = (hi - lo >= _TIME_EPS) | (rows >= 0)
-    lo, hi, rows = lo[live], hi[live], rows[live].tolist()
+    return lo[live], hi[live], rows[live]
+
+
+def _stages(driver, lo, hi):
+    """Midpoints and widths of the pieces [lo, hi], and A and B at their three RK4 stage times."""
     mid = 0.5 * (lo + hi)
     delta = (hi - lo)[:, None, None]
     if driver.piecewise_constant:
         A_m, B_m = driver.matrices_at(mid)
-        A_a = A_b = A_m
-        B_a = B_b = B_m
-    else:
-        A, B = driver.matrices_at(np.concatenate([lo, mid, hi]))
-        (A_a, A_m, A_b), (B_a, B_m, B_b) = np.split(A, 3), np.split(B, 3)
+        return mid, delta, (A_m, A_m, A_m), (B_m, B_m, B_m)
+    A, B = driver.matrices_at(np.concatenate([lo, mid, hi]))
+    return mid, delta, np.split(A, 3), np.split(B, 3)
+
+
+def _integrate(driver, times, z0: np.ndarray, forcing) -> np.ndarray:
+    """Solution of z' = A(t) z + B(t) y(t) at every breakpoint of `times`; row 0 is z0.
+
+    `forcing` maps an array of times to the stacked delayed values y(t),
+    shaped like z0.  On each piece p of `_pieces` one RK4 step is an affine
+    map z -> R_p z + c_p: R_p is RK4 applied to the identity, and
+    c_p = [C_a B_a | C_m B_m | C_b B_b] [y_a; y_m; y_b] over the piece's
+    stage times, the gains coming from the same batched RK4 pass.  The c_p
+    are built in blocks small enough that no temporary reaches glibc's
+    128 KiB mmap threshold; one loop then chains the maps.
+    """
+    times = np.asarray(times, dtype=float)
+    lo, hi, rows = _pieces(driver, times)
+    rows = rows.tolist()
+    mid, delta, (A_a, A_m, A_b), (B_a, B_m, B_b) = _stages(driver, lo, hi)
 
     N = z0.shape[0]
-    if forcing is None:
-        R = _rk4(A_a, A_m, A_b, delta, np.eye(N))
-        c = np.zeros(len(lo))
-        block = len(lo)
-    else:
-        O = np.zeros(B_m.shape)
-        T = _rk4(
-            A_a, A_m, A_b, delta,
-            np.concatenate([np.broadcast_to(np.eye(N), O.shape), O, O, O], axis=2),
-            np.concatenate([O, B_a, O, O], axis=2),
-            np.concatenate([O, O, B_m, O], axis=2),
-            np.concatenate([O, O, O, B_b], axis=2),
-        )
-        R, gains = T[:, :, :N], T[:, :, N:]
-        stage_times = np.stack([lo, mid, hi], axis=1)
-        block = max(1, _BLOCK_FLOATS // (3 * z0.size))
+    O = np.zeros(B_m.shape)
+    T = _rk4(
+        A_a, A_m, A_b, delta,
+        np.concatenate([np.broadcast_to(np.eye(N), O.shape), O, O, O], axis=2),
+        np.concatenate([O, B_a, O, O], axis=2),
+        np.concatenate([O, O, B_m, O], axis=2),
+        np.concatenate([O, O, O, B_b], axis=2),
+    )
+    R, gains = T[:, :, :N], T[:, :, N:]
+    stage_times = np.stack([lo, mid, hi], axis=1)
+    block = max(1, _BLOCK_FLOATS // (3 * z0.size))
 
     out = np.empty((len(times),) + z0.shape)
     out[0] = z = z0
     for s in range(0, len(lo), block):
-        if forcing is not None:
-            y = forcing(stage_times[s : s + block].ravel())
-            c = gains[s : s + block] @ y.reshape((-1, 3 * N) + z0.shape[1:])
+        y = forcing(stage_times[s : s + block].ravel())
+        c = gains[s : s + block] @ y.reshape((-1, 3 * N) + z0.shape[1:])
         for R_p, c_p, row in zip(R[s : s + block], c, rows[s : s + block]):
             z = R_p @ z + c_p
             if row >= 0:
                 out[row] = z
     return out
+
+
+def _flows(driver, times: np.ndarray) -> np.ndarray:
+    """Fundamental matrices of z' = A(t) z from the first node of each span to each of its nodes.
+
+    `times` has shape (S, n), one span per row, the rows in increasing time;
+    consecutive spans may touch, up to roundoff.  The result has shape
+    (S, n, N, N) and is I in column 0.  The pieces of all spans come from one
+    `_pieces` call over the flattened breakpoints; pieces that end on a
+    span's first node, and pieces that lie between spans, are dropped.  The
+    rest are laid out position-major, short spans padded with identity maps,
+    so one loop chains every span's RK4 maps at once; the states at the
+    breakpoints are gathered at the end.
+    """
+    S, n = times.shape
+    N = driver.dimension
+    lo, hi, rows = _pieces(driver, times)
+    node = rows >= 0  # every breakpoint after the first ends exactly one piece, in order
+    ends = np.cumsum(node) + ~node  # the breakpoint each piece ends on, or the next after its cut
+    keep = ends % n != 0
+    lo, hi, node, span = lo[keep], hi[keep], node[keep], ends[keep] // n
+    count = np.bincount(span, minlength=S)
+    pos = np.arange(len(span)) - (np.cumsum(count) - count)[span]
+    _, delta, (A_a, A_m, A_b), _ = _stages(driver, lo, hi)
+    R = np.broadcast_to(np.eye(N), (count.max(), S, N, N)).copy()
+    R[pos, span] = _rk4(A_a, A_m, A_b, delta, np.eye(N))
+    Z = np.empty((len(R) + 1, S, N, N))
+    Z[0] = np.eye(N)
+    for p, R_p in enumerate(R):
+        np.matmul(R_p, Z[p], out=Z[p + 1])
+    at = np.zeros((S, n), dtype=int)
+    at[:, 1:] = (pos[node] + 1).reshape(S, n - 1)
+    return Z[at, np.arange(S)[:, None]]
 
 
 @dataclass(frozen=True)
@@ -169,12 +213,11 @@ def fundamental_matrix(driver: Driver, t1: float, t2: float, substeps: int | Non
         raise ValueError("spans longer than one unit are composed by the caller")
     driver._check_inside(t1)
     driver._check_inside(t2)
-    N = driver.dimension
-    Z = np.eye(N)
+    Z = np.eye(driver.dimension)
     if t2 > t1:
         n = substeps if substeps is not None else max(1, int(math.ceil((t2 - t1) * 64 - _TIME_EPS)))
         h = (t2 - t1) / n
-        Z = _integrate(driver, t1 + np.arange(n + 1) * h, Z)[-1]
+        Z = _flows(driver, t1 + np.arange(n + 1)[None] * h)[0, -1]
     return FundamentalMatrix(t1, t2, Z)
 
 
@@ -194,24 +237,46 @@ class StepBounds:
 
 
 def step_bounds(driver: Driver, base_time: float, grid: GridSpec) -> StepBounds:
-    driver._check_inside(base_time)
-    driver._check_inside(base_time + 1.0)
-    M, h = grid.M, grid.h
+    """The growth constants c, d and c_upper of the unit step from base_time.
 
-    # one integration pass gives all grid-time fundamental matrices
-    times = base_time + np.arange(M + 1) * h
-    phis = _integrate(driver, times, np.eye(driver.dimension))
-    inv_phis = np.linalg.inv(phis)
-    lo, hi = np.triu_indices(M + 1, k=1)
-    pair_mats = phis[hi] @ inv_phis[lo]  # flow over [t_lo, t_hi] by composition
-    norms = np.linalg.norm(pair_mats, ord=2, axis=(1, 2))
-    c = max(1.0, float(np.max(norms)))
-
-    q = driver.spec.q
-    bq = np.linalg.norm(driver.matrices_at(times)[1], ord=2, axis=(1, 2)) ** q
-    d = float(np.dot(trapezoid_weights(grid), bq) ** (1.0 / q))
+    c and d are the one-base case of `orbit_step_bounds`; c_upper is
+    exp of the integral of |A(t)| over [base_time, base_time + 1].
+    """
+    c, d = orbit_step_bounds(driver, np.array([base_time], dtype=float), grid)
     c_upper = float(np.exp(driver.a_integral(base_time, base_time + 1.0)))
-    return StepBounds(c=c, d=d, c_upper=c_upper)
+    return StepBounds(c=float(c[0]), d=float(d[0]), c_upper=c_upper)
+
+
+def orbit_step_bounds(driver: Driver, base_times: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The growth constants c and d of the unit steps from each of the base times.
+
+    `base_times` is a 1-D array whose entries increase by at least one unit,
+    so that the unit spans do not overlap.  c is the largest spectral norm,
+    floored at 1, of the flows Phi(t_j) Phi(t_i)^-1 between grid times
+    t_i < t_j of a unit span, the fundamental matrices Phi coming from one
+    `_flows` call per block of bases; d is the trapezoid q-norm of |B(t)| on
+    the grid.  Blocks are sized so that the pair temporaries stay within
+    _BLOCK_FLOATS, below glibc's 128 KiB mmap threshold.
+    """
+    base_times = np.asarray(base_times, dtype=float)
+    if np.any(np.diff(base_times) < 1.0):
+        raise ValueError("base times must increase by at least one unit, so that the unit spans do not overlap")
+    driver._check_inside(base_times[0])
+    driver._check_inside(base_times[-1] + 1.0)
+    M, h, N, q = grid.M, grid.h, driver.dimension, driver.spec.q
+    nodes = np.arange(M + 1) * h
+    lo, hi = np.triu_indices(M + 1, k=1)
+    w = trapezoid_weights(grid)
+    c, d = np.empty(len(base_times)), np.empty(len(base_times))
+    block = max(1, _BLOCK_FLOATS // (len(lo) * N * N))
+    for s in range(0, len(base_times), block):
+        span = base_times[s : s + block, None] + nodes
+        phis = _flows(driver, span)
+        pairs = phis[:, hi] @ np.linalg.inv(phis)[:, lo]  # flow over [t_lo, t_hi] by composition
+        c[s : s + block] = np.maximum(1.0, spectral_norms(pairs).max(axis=1))
+        bq = spectral_norms(driver.matrices_at(span.ravel())[1]).reshape(span.shape) ** q
+        d[s : s + block] = np.sum(w * bq, axis=1) ** (1.0 / q)
+    return c, d
 
 
 def unit_step_c(driver: Driver, base_time: float, u: ContinuousSegment) -> ContinuousSegment:

@@ -33,7 +33,7 @@ from .fibers import (
     principal_angles,
     subspace_intersection,
 )
-from .propagation import assemble_unit_operator, step_bounds, unit_step_block
+from .propagation import assemble_unit_operator, orbit_step_bounds, unit_step_block
 
 __all__ = [
     "SpectrumConfig",
@@ -618,17 +618,11 @@ def temperedness_check(
 def step_bound_slopes(driver: Driver, horizon: int, grid: GridSpec, backward: bool = True) -> dict:
     """Regression slopes of ln c and ln d along the orbit, both time directions."""
     out = {}
-    directions = [("forward", range(0, horizon + 1))]
+    directions = [("forward", np.arange(0.0, horizon + 1))]
     if backward:
-        directions.append(("backward", range(-horizon, 1)))
+        directions.append(("backward", np.arange(-float(horizon), 1)))
     for name, ts in directions:
-        ts = np.array(list(ts), dtype=float)
-        cs, ds = [], []
-        for t in ts:
-            sb = step_bounds(driver, float(t), grid)
-            cs.append(sb.c)
-            ds.append(sb.d)
-        cs, ds = np.array(cs), np.array(ds)
+        cs, ds = orbit_step_bounds(driver, ts, grid)
         out[f"c_slope_{name}"] = float(np.polyfit(ts, np.log(cs), 1)[0])
         if np.all(ds > 0):
             out[f"d_slope_{name}"] = float(np.polyfit(ts, np.log(ds), 1)[0])

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ddelyap.drivers import (
     DriverSpec,
     realize,
     spectral_norm,
+    spectral_norms,
     stationary_distribution,
     summability_report,
 )
@@ -293,3 +296,46 @@ def test_matrices_at_stacks_matrices(telegraph_states):
             for t in ts
         ])
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _two_by_two_stacks():
+    rng = np.random.default_rng(21)
+    P = rng.normal(size=(1000, 2, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 1000)
+    rot = np.stack([np.stack([np.cos(theta), -np.sin(theta)], -1), np.stack([np.sin(theta), np.cos(theta)], -1)], -2)
+    return {
+        "random": P,
+        "rank_one": rng.normal(size=(1000, 2, 1)) @ rng.normal(size=(1000, 1, 2)),
+        "rotation": rot,
+        "reflection": rot * np.array([1.0, -1.0]),
+        "zero": np.zeros((5, 2, 2)),
+        "huge": P * 1e150,
+        "tiny": P * 1e-150,
+    }
+
+
+@pytest.mark.parametrize("name", ["random", "rank_one", "rotation", "reflection", "zero", "huge", "tiny"])
+def test_spectral_norms_closed_form_against_svd(name):
+    P = _two_by_two_stacks()[name]
+    got = spectral_norms(P)
+    want = np.linalg.svd(P, compute_uv=False)[:, 0]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+def test_spectral_norms_closed_form_to_a_few_ulps():
+    # the largest singular value to 50 digits; the SVD's own error reaches about 9e-16
+    P = np.random.default_rng(22).normal(size=(300, 2, 2))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for m, got in zip(P, spectral_norms(P)):
+            a, b, c, d = (Decimal(float(x)) for x in m.ravel())
+            exact = (((a + d) ** 2 + (c - b) ** 2).sqrt() + ((a - d) ** 2 + (b + c) ** 2).sqrt()) / 2
+            assert abs(Decimal(float(got)) - exact) <= Decimal("5e-16") * exact
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_spectral_norms_other_dimensions_through_svd(N):
+    P = np.random.default_rng(23).normal(size=(50, N, N))
+    assert np.array_equal(spectral_norms(P), np.linalg.svd(P, compute_uv=False)[:, 0])
+    assert spectral_norm(P[0]) == np.linalg.svd(P[0], compute_uv=False)[0]

@@ -15,16 +15,19 @@ from ddelyap.fibers import (
     norm_lp,
 )
 from ddelyap.propagation import (
+    _flows,
     assemble_unit_operator,
     evolve_l_to_c,
     fundamental_matrix,
     lc_operator_singular_values,
+    orbit_step_bounds,
     propagate,
     step_bounds,
     unit_step_block,
     unit_step_c,
     unit_step_l,
 )
+from ddelyap.spectrum import step_bound_slopes
 
 
 def constant_driver(A0, B0, window=(-3.0, 12.0), seed=0):
@@ -201,6 +204,149 @@ class TestAffineChainMatchesPiecewiseRK4:
         ref = reference_span_block(telegraph_driver, base, fiber_kind, X, g, f)
         new = block_step(telegraph_driver, base, fiber_kind, X, g, f)
         assert np.max(np.abs(new - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Plain per-span reference for the stacked flows: each gap split at switch
+# times, every piece's RK4 map built from I with its own coefficient samples,
+# and the maps chained Z <- R_p Z span by span.
+
+
+def _ref_rk4_map(driver, lo, hi):
+    delta, mid, I = hi - lo, 0.5 * (lo + hi), np.eye(driver.dimension)
+    if driver.piecewise_constant:
+        A_a = A_m = A_b = driver.matrices(mid)[0]
+    else:
+        A_a, A_m, A_b = driver.matrices_at(np.array([lo, mid, hi]))[0]
+    k1 = A_a @ I
+    k2 = A_m @ (I + 0.5 * delta * k1)
+    k3 = A_m @ (I + 0.5 * delta * k2)
+    k4 = A_b @ (I + delta * k3)
+    return I + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_flows(driver, times):
+    eps, N = 1e-12, driver.dimension
+    out = np.empty(times.shape + (N, N))
+    for s, span in enumerate(times):
+        Z = out[s, 0] = np.eye(N)
+        for j, (a, b) in enumerate(zip(span[:-1], span[1:]), start=1):
+            edges = np.concatenate([[a], driver.switch_times_in(a + eps, b - eps), [b]])
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                if hi - lo >= eps or hi == b:
+                    Z = _ref_rk4_map(driver, lo, hi) @ Z
+            out[s, j] = Z
+    return out
+
+
+def reference_c(phis):
+    """Largest SVD norm, floored at 1, of the flows between the node pairs i < j of each span."""
+    return np.array([
+        max(1.0, max(np.linalg.svd(P[j] @ np.linalg.inv(P[i]), compute_uv=False)[0]
+                     for i in range(len(P)) for j in range(i + 1, len(P))))
+        for P in phis
+    ])
+
+
+def spans(bases, M):
+    return np.asarray(bases, dtype=float)[:, None] + np.arange(M + 1) * (1.0 / M)
+
+
+class TestStackedFlows:
+    @pytest.fixture
+    def drivers(self, telegraph_driver, qp_driver):
+        rng = np.random.default_rng(24)
+        fast = DriverSpec(
+            "telegraph",
+            2,
+            {
+                "states": [(rng.normal(size=(2, 2)) * 0.4, np.eye(2)), (rng.normal(size=(2, 2)) * 0.4, -np.eye(2))],
+                "generator": [[-20.0, 20.0], [20.0, -20.0]],
+            },
+            seed=3,
+        )
+        return {
+            "constant": constant_driver(0.5 * rng.normal(size=(2, 2)), 0.5 * rng.normal(size=(2, 2))),
+            "quasi_periodic": qp_driver,
+            "telegraph": telegraph_driver,
+            "shifted": telegraph_driver.shifted(0.37),
+            "telegraph_rate_20": realize(fast, (-6.0, 25.0)),
+        }
+
+    @pytest.mark.parametrize("name", ["constant", "quasi_periodic", "telegraph", "shifted", "telegraph_rate_20"])
+    @pytest.mark.parametrize("M", [32, 49])
+    @pytest.mark.parametrize("bases", [[-2.0, -1.0, 0.0, 1.0, 2.0], [1.3], [1.0, 2.5, 4.0]])
+    def test_matches_per_span_chain(self, drivers, name, M, bases):
+        # touching spans, one span, and spans with gaps whose pieces are dropped
+        times = spans(bases, M)
+        assert np.array_equal(_flows(drivers[name], times), reference_flows(drivers[name], times))
+
+    def test_span_ends_miss_the_next_base(self):
+        # why the pieces joining consecutive spans are dropped, not integrated
+        times = spans([-1.0, 0.0, 1.0], 49)
+        assert times[0, -1] != times[1, 0] and times[1, -1] != times[2, 0]
+
+    @pytest.mark.parametrize("offset", [5e-14, -5e-14])
+    def test_switch_next_to_an_integer_base(self, telegraph_driver, offset):
+        s = telegraph_driver.switch_times[telegraph_driver.switch_times > 3.0][0]
+        drv = telegraph_driver.shifted(s - 3.0 - offset)
+        assert np.min(np.abs(drv.switch_times_in(2.5, 3.5) - 3.0)) < 1e-13
+        times = spans([1.0, 2.0, 3.0, 4.0], 32)
+        assert np.array_equal(_flows(drv, times), reference_flows(drv, times))
+
+    @pytest.mark.parametrize("name", ["quasi_periodic", "telegraph"])
+    def test_fundamental_matrix_is_one_span(self, drivers, name):
+        n, t1, t2 = 40, 1.3, 2.1
+        ref = reference_flows(drivers[name], (t1 + np.arange(n + 1) * ((t2 - t1) / n))[None])
+        assert np.array_equal(fundamental_matrix(drivers[name], t1, t2, substeps=n).matrix, ref[0, -1])
+
+    @pytest.mark.parametrize("name", ["constant", "quasi_periodic", "telegraph", "shifted", "telegraph_rate_20"])
+    def test_orbit_bounds_match_per_base(self, drivers, name):
+        drv, g = drivers[name], GridSpec(32)
+        ts = np.arange(-3.0, 9.0)  # more bases than one block holds
+        c, d = orbit_step_bounds(drv, ts, g)
+        per_base = [step_bounds(drv, t, g) for t in ts]
+        assert np.array_equal(d, [sb.d for sb in per_base])
+        assert np.allclose(c, [sb.c for sb in per_base], rtol=1e-15, atol=0.0)
+        assert np.allclose(c, reference_c(reference_flows(drv, spans(ts, g.M))), rtol=1e-14, atol=0.0)
+
+    def test_overlapping_spans_rejected(self, telegraph_driver):
+        with pytest.raises(ValueError, match="overlap"):
+            orbit_step_bounds(telegraph_driver, np.array([1.0, 1.5]), GridSpec(16))
+        with pytest.raises(ValueError, match="window"):
+            orbit_step_bounds(telegraph_driver, np.array([1.0, 24.5]), GridSpec(16))
+
+    def test_slopes_match_per_base(self, telegraph_driver):
+        g = GridSpec(32)
+        out = step_bound_slopes(telegraph_driver, 4, g)
+        for name, ts in (("forward", np.arange(0.0, 5.0)), ("backward", np.arange(-4.0, 1.0))):
+            per_base = [step_bounds(telegraph_driver, t, g) for t in ts]
+            cs, ds = np.array([sb.c for sb in per_base]), np.array([sb.d for sb in per_base])
+            assert out[f"d_range_{name}"] == (ds.min(), ds.max())
+            assert np.allclose(out[f"c_range_{name}"], (cs.min(), cs.max()), rtol=1e-15, atol=0.0)
+            assert out[f"c_slope_{name}"] == pytest.approx(np.polyfit(ts, np.log(cs), 1)[0], rel=1e-12, abs=1e-18)
+            assert out[f"d_slope_{name}"] == pytest.approx(np.polyfit(ts, np.log(ds), 1)[0], rel=1e-12, abs=1e-18)
+
+    def test_three_dimensional_driver(self):
+        rng = np.random.default_rng(25)
+        spec = DriverSpec(
+            "quasi_periodic",
+            3,
+            {
+                "freqs": [2.0 * np.pi],
+                "a0": rng.normal(size=(3, 3)) * 0.3,
+                "b0": rng.normal(size=(3, 3)) * 0.4,
+                "a_cos": rng.normal(size=(1, 3, 3)) * 0.2,
+                "a_sin": rng.normal(size=(1, 3, 3)) * 0.2,
+                "b_cos": rng.normal(size=(1, 3, 3)) * 0.2,
+                "b_sin": rng.normal(size=(1, 3, 3)) * 0.2,
+            },
+        )
+        drv, g = realize(spec, (-2.0, 4.0)), GridSpec(16)
+        sb = step_bounds(drv, 0.5, g)
+        times = spans([0.5], g.M)
+        assert sb.c == pytest.approx(reference_c(reference_flows(drv, times))[0], rel=1e-15, abs=0.0)
+        bq = np.linalg.svd(drv.matrices_at(times[0])[1], compute_uv=False)[:, 0] ** drv.spec.q
+        assert sb.d == pytest.approx(np.trapezoid(bq, times[0]) ** (1.0 / drv.spec.q), rel=1e-14)
 
 
 class TestFundamentalMatrix:
@@ -484,6 +630,16 @@ class TestLtoC:
         first = evolve_l_to_c(telegraph_driver, 0.0, u, 1.0)
         rhs = propagate(telegraph_driver, 1.0, first, 2.0)
         assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12
+
+    def test_two_unit_steps_are_the_l_to_c_step(self, telegraph_driver, qp_driver):
+        # the identity the audits use to reuse their orbit instead of recomputing it
+        g = GridSpec(16)
+        rng = np.random.default_rng(15)
+        for drv in (telegraph_driver, qp_driver):
+            for base in rng.uniform(-4.0, 20.0, 5):
+                u = random_smooth_segment(g, 2, rng, "lp")
+                ut1 = unit_step_l(drv, base + 1.0, unit_step_l(drv, base, u))
+                assert np.array_equal(ut1.density, evolve_l_to_c(drv, base, u, 2.0).values)
 
     def test_short_time_rejected(self, telegraph_driver):
         g = GridSpec(8)
